@@ -37,7 +37,6 @@ def _solver_options(args: argparse.Namespace) -> SolverOptions:
         tol_gap=args.tol_gap,
         refine_rounds=args.refine_rounds,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -48,7 +47,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-grad", type=float, default=1e-8, help="ascent convergence tolerance")
     p.add_argument("--refine-rounds", type=int, default=3, help="interval refinement rounds")
     p.add_argument("--seed", type=int, default=0, help="seed recorded in the result")
-    p.add_argument("--threads", type=int, default=None, help="sweep worker threads")
 
 
 def _read_instance(path: str) -> FractionalProgram:

@@ -28,9 +28,13 @@ from .problem import FractionalProgram, pivot_floor
 # numerically untrustworthy even though the factorization succeeded.
 ILL_CONDITIONED_RTOL = 1e-4
 BOX_TOL = 1e-12
+# An eigenvalue of the pencil's congruent form this close (relative) to zero
+# leaves cone membership to Cholesky: well above the pencil's rounding error,
+# well below the pivot floor.
+INERTIA_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualPoint:
     mu: float
     varsigma: float
@@ -97,6 +101,34 @@ def curvature_matrix(prog: FractionalProgram, point: DualPoint) -> CurvatureFact
     if min_pivot <= floor:
         return CurvatureFactor(G, None, False, min_pivot, diag_scale)
     return CurvatureFactor(G, chol, True, min_pivot, diag_scale)
+
+
+def provably_indefinite(
+    prog: FractionalProgram, tau: np.ndarray, sigma: np.ndarray
+) -> np.ndarray:
+    """Mask of the points G = Q + tau B'B - sigma H that are surely not definite.
+
+    Batched over arrays tau (= mu*varsigma) and sigma.  With the pencil of
+    `prog`, G is congruent to D + tau U'U, D = diag(w + sigma), so by
+    Sylvester's law and Haynsworth's inertia additivity G has
+    neg(D) - sign(tau)*neg(C) negative eigenvalues, C = I + tau U D^-1 U'.
+    An eigenvalue of D or C within INERTIA_RTOL of zero (relative to the
+    terms that form it) leaves the point undecided, and undecided is False.
+    """
+    w, U = prog.pencil
+    D = w + sigma[:, None]
+    band = INERTIA_RTOL * (np.abs(w).max() + np.abs(sigma))[:, None]
+    neg_d = np.count_nonzero(D < -band, axis=1)
+    if prog.m == 0:
+        return neg_d > 0
+    decided = ~np.any(np.abs(D) <= band, axis=1)
+    inv_d = 1.0 / np.where(decided[:, None], D, 1.0)
+    C = np.eye(prog.m) + tau[:, None, None] * ((U * inv_d[:, None, :]) @ U.T)
+    ev = np.linalg.eigvalsh(C)
+    c_band = INERTIA_RTOL * (1.0 + np.abs(tau) * (np.abs(inv_d) @ (U * U).sum(axis=0)))
+    decided &= np.all(np.abs(ev) > c_band[:, None], axis=1)
+    neg_g = neg_d - np.sign(tau).astype(int) * np.count_nonzero(ev < 0.0, axis=1)
+    return decided & (neg_g > 0)
 
 
 def _in_box(prog: FractionalProgram, point: DualPoint) -> bool:

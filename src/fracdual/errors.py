@@ -66,6 +66,10 @@ class AllSubproblemsFailedError(FracdualError):
     """Every parameter grid point failed to produce a candidate."""
 
 
+class WeakDualityError(FracdualError):
+    """A feasible candidate fell below the dual bound of its own slice."""
+
+
 class ParseError(FracdualError):
     """Malformed instance or result file."""
 

@@ -174,7 +174,6 @@ def result_payload(result: SolveResult) -> dict:
             "tol_gap": opts.tol_gap,
             "refine_rounds": opts.refine_rounds,
             "seed": opts.seed,
-            "threads": opts.threads,
         },
         "timings": {k: float(v) for k, v in result.timings.items()},
     }

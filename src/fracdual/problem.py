@@ -17,8 +17,10 @@ is a solid ellipsoid and the sweep parameter mu ranges over [mu0, 1/delta].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import (
     DeltaOutOfRangeError,
@@ -90,6 +92,16 @@ class FractionalProgram:
     @property
     def mu_interval(self) -> MuInterval:
         return MuInterval(self.mu0, self.mu_max)
+
+    @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues w of the pencil (Q, -H) and U = B V, computed on first use.
+
+        With V'(-H)V = I and V'QV = diag(w), the curvature matrix
+        Q + tau B'B - sigma H is congruent to diag(w + sigma) + tau U'U.
+        """
+        w, V = eigh(self.Q, -self.H)
+        return _freeze(w), _freeze(self.B @ V)
 
 
 def _as_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Each subproblem is solved by projected Newton ascent on the two dual
 variables (Levenberg damping, backtracking that keeps iterates inside the
-positive definite cone, monotone in the dual value).  A converged point is
+positive definite cone, monotone in the dual value).  Backtracking factorizes
+the full step; once a trial falls outside the cone, the remaining halvings are
+screened by inertia through the instance's (Q, -H) pencil, and only trials
+not proven indefinite are factorized.  A converged point is
 turned into a certificate by recomputing the primal-dual gap, the
 stationarity of the canonical measure, and boundary complementarity.  The
 outer solve scans a uniform grid over [mu0, 1/delta], golden-section refines
@@ -11,9 +14,7 @@ around the incumbent, and returns the best feasible candidate.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,10 +26,12 @@ from .dual import (
     canonical_measure,
     curvature_matrix,
     evaluate_dual,
+    provably_indefinite,
 )
-from .errors import AllSubproblemsFailedError, NoStartingPointError
+from .errors import AllSubproblemsFailedError, NoStartingPointError, WeakDualityError
 from .problem import (
     FractionalProgram,
+    _freeze,
     check_mu,
     eval_objective,
     eval_subproblem,
@@ -61,10 +64,9 @@ class SolverOptions:
     tol_gap: float = 1e-6
     refine_rounds: int = 3
     seed: int = 0
-    threads: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualSolution:
     point: DualPoint
     value: float
@@ -72,10 +74,10 @@ class DualSolution:
     status: AscentStatus
     n_iter: int
     min_pivot: float
-    value_trace: tuple[float, ...]
+    value_trace: np.ndarray  # read-only float64, one entry per iterate, the start included
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     primal_value: float
     dual_value: float
@@ -86,7 +88,7 @@ class Certificate:
     x: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MuSample:
     """One evaluated sweep value: dual solution, certificate, and candidate."""
 
@@ -164,6 +166,9 @@ def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -
     return step
 
 
+_HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
+
+
 def _try_step(
     prog: FractionalProgram,
     mu: float,
@@ -173,19 +178,28 @@ def _try_step(
     value: float,
     lo: np.ndarray,
 ):
-    alpha = 1.0
-    for _ in range(60):
-        trial = np.maximum(d + alpha * step, lo)
+    """Backtrack from the full step by halving until the dual rises enough.
+
+    After the first trial found outside the cone, the remaining trials are
+    screened in one batch by inertia, and those proven indefinite are not
+    factorized; Cholesky still decides every trial that could be accepted.
+    """
+    trials = np.maximum(d + _HALVINGS * step, lo)
+    skip = None
+    for k, trial in enumerate(trials):
         move = trial - d
         if not np.any(move):
             return None
+        if skip is not None and skip[k]:
+            continue
         point = DualPoint(mu, float(trial[0]), float(trial[1]))
         fac = curvature_matrix(prog, point)
         if fac.pd:
             ev = evaluate_dual(prog, point, fac=fac)
             if ev.value > value and ev.value >= value + 1e-4 * (grad @ move):
                 return trial, ev
-        alpha *= 0.5
+        elif skip is None:
+            skip = provably_indefinite(prog, mu * trials[:, 0], trials[:, 1])
     return None
 
 
@@ -246,7 +260,7 @@ def maximize_dual(
         status=status,
         n_iter=n_iter,
         min_pivot=ev.min_pivot,
-        value_trace=tuple(trace),
+        value_trace=_freeze(trace),
     )
 
 
@@ -339,16 +353,6 @@ def _select(samples: list[MuSample]) -> MuSample | None:
         )
     )
     return bucket[0]
-
-
-def _resolve_threads(opts: SolverOptions) -> int:
-    if opts.threads is not None:
-        return max(1, int(opts.threads))
-    env = os.environ.get("THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _singleton_result(prog: FractionalProgram, opts: SolverOptions, t0: float) -> SolveResult:
@@ -549,12 +553,7 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
     else:
         mus = np.linspace(prog.mu0, prog.mu_max, n_grid)
 
-    workers = _resolve_threads(opts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda m: _solve_at_mu(prog, float(m), opts), mus))
-    else:
-        samples = [_solve_at_mu(prog, float(m), opts) for m in mus]
+    samples = [_solve_at_mu(prog, float(m), opts) for m in mus]
     t_grid = time.perf_counter()
 
     solved = sum(1 for s in samples if s.solution is not None)
@@ -627,7 +626,7 @@ def _weak_duality_floor(prog: FractionalProgram, result: SolveResult) -> None:
     primal = eval_subproblem(prog, result.mu_star, result.x_star)
     slack = 1e-6 * (1.0 + abs(result.best_dual_value))
     if primal < result.best_dual_value - slack:
-        raise RuntimeError(
+        raise WeakDualityError(
             f"weak duality violated: subproblem value {primal:.12g} below "
             f"dual bound {result.best_dual_value:.12g}"
         )

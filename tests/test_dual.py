@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import fracdual as fd
-from fracdual.dual import DualPoint
+from fracdual.dual import DualPoint, provably_indefinite
 
 from conftest import make_reference
 
@@ -228,3 +228,58 @@ def test_gap_identity(seed):
     gap = primal - ev.value
     predicted = 0.5 * mu * (ev.xi - d.varsigma) ** 2 + d.sigma * (ev.h_at_x - 1.0 / mu)
     assert_allclose(gap, predicted, rtol=1e-7, atol=1e-9)
+
+
+def _mask_points(prog, rng, count=30):
+    """Rows (mu, varsigma, sigma): the box corner (-lam, 0), tau < 0, and
+    tau > 0 with sigma near -w_i, so that some w_i + sigma < 0."""
+    w, _ = prog.pencil
+    rows = []
+    for _ in range(count):
+        mu = float(rng.uniform(prog.mu0, prog.mu_max))
+        kind = rng.integers(3)
+        if kind == 0:
+            vs, sg = -prog.lam, 0.0
+        elif kind == 1:
+            vs, sg = rng.uniform(-prog.lam, 0.0), rng.uniform(0.0, 2.0) * abs(w.min())
+        else:
+            vs = rng.uniform(0.0, 5.0)
+            sg = max(0.0, -w[rng.integers(prog.n)] * rng.uniform(0.5, 1.5))
+        rows.append((mu, float(vs), float(sg)))
+    return rows
+
+
+def _cone_edge_points(prog, rows):
+    """Pairs just inside and just outside the cone, bisected from a start."""
+    out = []
+    for mu, vs, sg in rows:
+        inside, outside = fd.find_start(prog, mu).as_array(), np.array([vs, sg])
+        if fd.curvature_matrix(prog, P(mu, vs, sg)).pd:
+            continue
+        for _ in range(50):
+            mid = 0.5 * (inside + outside)
+            if fd.curvature_matrix(prog, P(mu, *mid)).pd:
+                inside = mid
+            else:
+                outside = mid
+        out += [(mu, *inside), (mu, *outside)]
+    return out
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 1e6]))
+def test_inertia_mask_agrees_with_cholesky(seed, conditioning):
+    prog = fd.generate_program(1 + seed % 8, seed % 4, seed=seed, conditioning=conditioning)
+    rng = np.random.default_rng(seed)
+    rows = _mask_points(prog, rng)
+    rows = np.array(rows + _cone_edge_points(prog, rows[:5]))
+    tau, sigma = rows[:, 0] * rows[:, 1], rows[:, 2]
+    mask = provably_indefinite(prog, tau, sigma)
+    w, U = prog.pencil
+    for (mu, vs, sg), t, indefinite in zip(rows, tau, mask):
+        pd = fd.curvature_matrix(prog, P(mu, vs, sg)).pd
+        assert not (pd and indefinite)
+        # away from a thin band around the cone edge the mask is exact
+        congruent = np.diag(w + sg) + t * U.T @ U
+        band = 1e-4 * (np.abs(w).max() + sg + abs(t) * np.sum(U * U))
+        if min(np.abs(np.linalg.eigvalsh(congruent)).min(), np.abs(w + sg).min()) > band:
+            assert indefinite == (not pd)

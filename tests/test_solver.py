@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,8 @@ from numpy.testing import assert_allclose
 
 import fracdual as fd
 from fracdual.dual import DualPoint
-from fracdual.solver import AscentStatus, CertificateKind, DualSolution
+from fracdual import solver
+from fracdual.solver import AscentStatus, CertificateKind, DualSolution, _weak_duality_floor
 
 from conftest import (
     GAP_CASE_ARGMIN_X2,
@@ -57,6 +60,8 @@ class TestAscent:
         sol = fd.maximize_dual(reference, 1.7)
         trace = np.asarray(sol.value_trace)
         assert np.all(np.diff(trace) >= 0.0)
+        assert sol.value_trace.dtype == np.float64
+        assert not sol.value_trace.flags.writeable
 
     def test_iterates_respect_box(self, reference):
         for mu in (1.0, 1.3, 2.0):
@@ -78,6 +83,38 @@ class TestAscent:
         assert sol.status is AscentStatus.NEAR_PD_BOUNDARY
         cert = fd.certify(gap_case, 4.0, sol)
         assert cert.kind is CertificateKind.NONE
+
+
+@pytest.mark.parametrize(
+    "seed, conditioning", [(1006, 1.0), (1021, 1.0), (1022, 1.0), (1027, 1e6)]
+)
+def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
+    # heavy-backtracking instances: screening trials by inertia must skip
+    # factorizations without moving a single iterate
+    prog = fd.generate_program(1 + seed % 6, seed % 4, seed=seed, conditioning=conditioning)
+    mus = np.linspace(prog.mu0, prog.mu_max, 4)
+    factorized = {"calls": 0}
+    cholesky = solver.curvature_matrix
+
+    def counted(*args):
+        factorized["calls"] += 1
+        return cholesky(*args)
+
+    monkeypatch.setattr(solver, "curvature_matrix", counted)
+    screened = [fd.maximize_dual(prog, mu) for mu in mus]
+    screened_calls = factorized["calls"]
+    monkeypatch.setattr(
+        solver, "provably_indefinite", lambda prog, tau, sigma: np.zeros(len(tau), bool)
+    )
+    factorized["calls"] = 0
+    admitted = [fd.maximize_dual(prog, mu) for mu in mus]
+    assert screened_calls < factorized["calls"]
+    for a, b in zip(screened, admitted):
+        assert a.point == b.point
+        assert a.value == b.value
+        assert a.n_iter == b.n_iter
+        assert a.status is b.status
+        np.testing.assert_array_equal(a.value_trace, b.value_trace)
 
 
 class TestCertify:
@@ -163,11 +200,13 @@ class TestSolve:
         assert len(res.mu_profile) >= 16
         assert set(res.timings) >= {"grid_s", "refine_s", "total_s"}
 
-    def test_threads_match_serial(self, reference):
-        serial = fd.solve(reference, fd.SolverOptions(threads=1))
-        parallel = fd.solve(reference, fd.SolverOptions(threads=4))
-        assert serial.P0_value == pytest.approx(parallel.P0_value, abs=1e-12)
-        assert serial.mu_star == pytest.approx(parallel.mu_star, abs=1e-12)
+    def test_weak_duality_violation_is_a_fracdual_error(self, reference):
+        res = fd.solve(reference)
+        slice_value = fd.eval_subproblem(reference, res.mu_star, res.x_star)
+        broken = dataclasses.replace(res, best_dual_value=slice_value + 1.0)
+        with pytest.raises(fd.WeakDualityError):
+            _weak_duality_floor(reference, broken)
+        assert issubclass(fd.WeakDualityError, fd.FracdualError)
 
 
 class TestProbes:
