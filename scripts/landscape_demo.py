@@ -28,6 +28,7 @@ from fracdual import (
     solve,
     validate,
 )
+from fracdual.solver import mu_grid
 
 
 def demo_instance():
@@ -47,7 +48,7 @@ def demo_instance():
 def profile_rows(prog, grid: int):
     opts = SolverOptions(grid=grid)
     rows = []
-    for mu in np.linspace(prog.mu0, prog.mu_max, grid):
+    for mu in mu_grid(prog, grid):
         sol = maximize_dual(prog, float(mu), opts)
         rows.append((float(mu), sol.value))
     return rows

@@ -26,7 +26,7 @@ from .generate import generate_program
 from .instance_io import parse_instance, serialize_instance, serialize_result
 from .oracle import grid_minimize_objective
 from .problem import FractionalProgram
-from .solver import CertificateKind, SolverOptions, certify, maximize_dual, solve
+from .solver import CertificateKind, SolverOptions, certify, maximize_dual, mu_grid, solve
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
@@ -40,8 +40,18 @@ def _solver_options(args: argparse.Namespace) -> SolverOptions:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=64, help="parameter sweep resolution")
+    p.add_argument("--grid", type=_positive_int, default=64, help="parameter sweep resolution")
     p.add_argument("--max-iter", type=int, default=500, help="ascent iteration cap")
     p.add_argument("--tol-gap", type=float, default=1e-6, help="certification gap tolerance")
     p.add_argument("--tol-grad", type=float, default=1e-8, help="ascent convergence tolerance")
@@ -121,13 +131,8 @@ def _landscape_rows(
 
 
 def _profile_rows(prog: FractionalProgram, opts: SolverOptions) -> list[str]:
-    interval = prog.mu_interval
-    if interval.degenerate:
-        mus = np.array([interval.lo])
-    else:
-        mus = np.linspace(interval.lo, interval.hi, opts.grid)
     lines = ["mu,dual_value,certificate"]
-    for mu in mus:
+    for mu in mu_grid(prog, opts.grid):
         mu = float(mu)
         try:
             sol = maximize_dual(prog, mu, opts)

@@ -16,7 +16,7 @@ candidate x(d) = G^{-1}c.  Interior critical points close the gap exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -46,7 +46,12 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class CurvatureFactor:
-    """Assembled curvature matrix with its Cholesky factor when definite."""
+    """Assembled curvature matrix with its Cholesky factor when definite.
+
+    min_pivot is the smallest squared Cholesky pivot.  It is -inf when
+    Cholesky met a non-positive pivot; that pivot's value is not computed.
+    A factor rejected by the pivot floor keeps its real (tiny) pivot.
+    """
 
     matrix: np.ndarray
     chol: np.ndarray | None
@@ -76,7 +81,6 @@ class DualEvaluation:
     xi: float
     h_at_x: float
     hessian: np.ndarray
-    residual: float
     min_pivot: float
     ill_conditioned: bool
 
@@ -90,13 +94,7 @@ def curvature_matrix(prog: FractionalProgram, point: DualPoint) -> CurvatureFact
     try:
         chol = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        return CurvatureFactor(
-            matrix=G,
-            chol=None,
-            pd=False,
-            min_pivot=float(np.linalg.eigvalsh(G)[0]),
-            diag_scale=diag_scale,
-        )
+        return CurvatureFactor(G, None, False, -np.inf, diag_scale)
     min_pivot = float((np.diag(chol) ** 2).min())
     if min_pivot <= floor:
         return CurvatureFactor(G, None, False, min_pivot, diag_scale)
@@ -164,7 +162,6 @@ def evaluate_dual(
 
     x = fac.solve(c)
     x = x + fac.solve(c - fac.matrix @ x)  # one step of iterative refinement
-    residual = float(np.linalg.norm(c - fac.matrix @ x))
 
     z = fac.half_solve(c)
     value = float(-0.5 * (z @ z) - mu * prog.lam * vs - 0.5 * mu * vs**2 + sg / mu)
@@ -197,7 +194,6 @@ def evaluate_dual(
         xi=xi,
         h_at_x=h_at_x,
         hessian=hessian,
-        residual=residual,
         min_pivot=fac.min_pivot,
         ill_conditioned=fac.ill_conditioned,
     )
@@ -205,15 +201,6 @@ def evaluate_dual(
 
 def dual_value(prog: FractionalProgram, point: DualPoint) -> float:
     return evaluate_dual(prog, point).value
-
-
-def dual_gradient(prog: FractionalProgram, point: DualPoint) -> tuple[float, float]:
-    ev = evaluate_dual(prog, point)
-    return ev.grad_varsigma, ev.grad_sigma
-
-
-def dual_hessian(prog: FractionalProgram, point: DualPoint) -> np.ndarray:
-    return evaluate_dual(prog, point).hessian
 
 
 def recover_primal(prog: FractionalProgram, point: DualPoint) -> np.ndarray:

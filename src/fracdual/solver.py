@@ -1,11 +1,11 @@
 """Dual ascent per sweep value and the outer parameter sweep.
 
 Each subproblem is solved by projected Newton ascent on the two dual
-variables (Levenberg damping, backtracking that keeps iterates inside the
-positive definite cone, monotone in the dual value).  Backtracking factorizes
-the full step; once a trial falls outside the cone, the remaining halvings are
-screened by inertia through the instance's (Q, -H) pencil, and only trials
-not proven indefinite are factorized.  A converged point is
+variables (Newton step, gradient fallback, backtracking that keeps iterates
+inside the positive definite cone, monotone in the dual value).  Backtracking
+factorizes the full step; once a trial falls outside the cone, the remaining
+halvings are screened by inertia through the instance's (Q, -H) pencil, and
+only trials not proven indefinite are factorized.  A converged point is
 turned into a certificate by recomputing the primal-dual gap, the
 stationarity of the canonical measure, and boundary complementarity.  The
 outer solve scans a uniform grid over [mu0, 1/delta], golden-section refines
@@ -144,25 +144,23 @@ def find_start(prog: FractionalProgram, mu: float) -> DualPoint:
 
 
 def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Damped Newton step on the free coordinates; falls back toward gradient."""
+    """Newton step on the free coordinates, or the gradient where it fails.
+
+    The negative dual Hessian is positive semidefinite by construction,
+    det = mu^2(|zu|^2|zv|^2 - (zu.zv)^2) + mu|zv|^2 >= mu|zv|^2, so no damping
+    is needed; it is singular only when zv = 0, that is x = x_center.  The
+    gradient replaces a solve that raises, is not finite or does not ascend.
+    """
     step = np.zeros(2)
     idx = np.flatnonzero(free)
     if idx.size == 0:
         return step
-    neg_h = -hessian[np.ix_(idx, idx)]
     g = grad[idx]
-    nu = 0.0
-    base = 1e-12 * (1.0 + float(np.trace(neg_h)))
-    for _ in range(40):
-        try:
-            s = np.linalg.solve(neg_h + nu * np.eye(idx.size), g)
-        except np.linalg.LinAlgError:
-            s = None
-        if s is not None and np.all(np.isfinite(s)) and g @ s > 0.0:
-            step[idx] = s
-            return step
-        nu = max(base, 10.0 * nu) if nu else max(base, 1e-8)
-    step[idx] = g  # heavily damped fallback: plain gradient
+    try:
+        s = np.linalg.solve(-hessian[np.ix_(idx, idx)], g)
+    except np.linalg.LinAlgError:
+        s = g
+    step[idx] = s if np.all(np.isfinite(s)) and g @ s > 0.0 else g
     return step
 
 
@@ -203,9 +201,13 @@ def _try_step(
     return None
 
 
-def _classify(ev: DualEvaluation, d: np.ndarray, lo: np.ndarray, lam: float) -> AscentStatus:
+def _classify(
+    ev: DualEvaluation, d: np.ndarray, lo: np.ndarray, lam: float, converged: bool
+) -> AscentStatus:
     if ev.ill_conditioned:
         return AscentStatus.NEAR_PD_BOUNDARY
+    if not converged:
+        return AscentStatus.MAX_ITERATIONS
     if d[1] <= lo[1] + _AT_BOUND_RTOL:
         return AscentStatus.BOUNDARY_SIGMA_ZERO
     if d[0] <= lo[0] + _AT_BOUND_RTOL * (1.0 + abs(lam)):
@@ -224,7 +226,7 @@ def maximize_dual(
     d = start.as_array()
     ev = evaluate_dual(prog, start)
     trace = [ev.value]
-    status = AscentStatus.MAX_ITERATIONS
+    converged = False
     pg_norm = np.inf
     n_iter = 0
     for n_iter in range(1, opts.max_iter + 1):
@@ -233,31 +235,22 @@ def maximize_dual(
         clamped = at_lo & (grad < 0.0)
         pg = np.where(clamped, 0.0, grad)
         pg_norm = float(np.linalg.norm(pg))
-        if pg_norm <= opts.tol_grad * (1.0 + abs(ev.value)):
-            status = _classify(ev, d, lo, prog.lam)
+        converged = pg_norm <= opts.tol_grad * (1.0 + abs(ev.value))
+        if converged:
             break
         step = _ascent_direction(ev.hessian, pg, ~clamped)
         moved = _try_step(prog, mu, d, step, grad, ev.value, lo)
         if moved is None and np.any(step != pg):
             moved = _try_step(prog, mu, d, pg, grad, ev.value, lo)
         if moved is None:
-            status = (
-                AscentStatus.NEAR_PD_BOUNDARY
-                if ev.ill_conditioned
-                else AscentStatus.MAX_ITERATIONS
-            )
             break
         d, ev = moved
         trace.append(ev.value)
-    else:
-        status = (
-            AscentStatus.NEAR_PD_BOUNDARY if ev.ill_conditioned else AscentStatus.MAX_ITERATIONS
-        )
     return DualSolution(
         point=DualPoint(mu, float(d[0]), float(d[1])),
         value=ev.value,
         grad_norm=pg_norm,
-        status=status,
+        status=_classify(ev, d, lo, prog.lam, converged),
         n_iter=n_iter,
         min_pivot=ev.min_pivot,
         value_trace=_freeze(trace),
@@ -307,6 +300,19 @@ def certify(
         stationarity_xi=float(stat_xi),
         feasibility_residual=float(feas_res),
         kind=kind,
+        x=x,
+    )
+
+
+def _uncertified(prog: FractionalProgram, mu: float, x: np.ndarray) -> Certificate:
+    """Certificate of a candidate that no dual solution vouches for."""
+    return Certificate(
+        primal_value=eval_subproblem(prog, mu, x),
+        dual_value=-np.inf,
+        gap=np.inf,
+        stationarity_xi=np.inf,
+        feasibility_residual=0.0,
+        kind=CertificateKind.NONE,
         x=x,
     )
 
@@ -476,21 +482,11 @@ def _polish(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample
         samples.append(slice_sample)
         return
     cert = slice_sample.certificate
-    if cert is None:
-        cert = Certificate(
-            primal_value=eval_subproblem(prog, mu_hat, best_x),
-            dual_value=-np.inf,
-            gap=np.inf,
-            stationarity_xi=np.inf,
-            feasibility_residual=0.0,
-            kind=CertificateKind.NONE,
-            x=best_x,
-        )
     samples.append(
         MuSample(
             mu=mu_hat,
             solution=slice_sample.solution,
-            certificate=cert,
+            certificate=cert if cert is not None else _uncertified(prog, mu_hat, best_x),
             x=best_x,
             p0=best_val,
             note="Polished",
@@ -540,6 +536,15 @@ def _refine(
             fd = key_of(d)
 
 
+def mu_grid(prog: FractionalProgram, grid: int) -> np.ndarray:
+    """The sweep's uniform grid of `grid` points over [mu0, mu_max].
+
+    At least mu0 itself, and only mu0 when the interval is a point.
+    """
+    n = 1 if prog.mu_interval.degenerate else max(grid, 1)
+    return np.linspace(prog.mu0, prog.mu_max, n)
+
+
 def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveResult:
     """Sweep the parameter interval and return the best certified candidate."""
     opts = opts or SolverOptions()
@@ -547,12 +552,7 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
     if prog.mu_interval.degenerate:
         return _singleton_result(prog, opts, t0)
 
-    n_grid = max(2, opts.grid) if opts.grid > 1 else 1
-    if n_grid == 1:
-        mus = np.array([prog.mu0])
-    else:
-        mus = np.linspace(prog.mu0, prog.mu_max, n_grid)
-
+    mus = mu_grid(prog, opts.grid)
     samples = [_solve_at_mu(prog, float(m), opts) for m in mus]
     t_grid = time.perf_counter()
 
@@ -578,15 +578,7 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
         best = MuSample(
             mu=prog.mu0,
             solution=None,
-            certificate=Certificate(
-                primal_value=eval_subproblem(prog, prog.mu0, x),
-                dual_value=-np.inf,
-                gap=np.inf,
-                stationarity_xi=np.inf,
-                feasibility_residual=0.0,
-                kind=CertificateKind.NONE,
-                x=x,
-            ),
+            certificate=_uncertified(prog, prog.mu0, x),
             x=x,
             p0=eval_objective(prog, x),
             note="FallbackCenter",

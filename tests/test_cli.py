@@ -172,3 +172,13 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing instance argument
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_nonpositive_grid_is_a_usage_error(reference_file, command, grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(reference_file), "--grid", grid])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not reference_file.with_suffix(".result.json").exists()

@@ -34,7 +34,11 @@ class TestCurvature:
         )
         fac = fd.curvature_matrix(prog, P(1.0, 0.0, 0.0))
         assert not fac.pd
-        assert fac.min_pivot < 0
+        # a failed Cholesky reports the sentinel, not the pivot's value
+        assert fac.min_pivot == -np.inf
+        assert fac.chol is None
+        with pytest.raises(fd.NotPDError):
+            fd.evaluate_dual(prog, P(1.0, 0.0, 0.0))
 
 
 class TestConeMembership:

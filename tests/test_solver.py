@@ -8,7 +8,14 @@ from numpy.testing import assert_allclose
 import fracdual as fd
 from fracdual.dual import DualPoint
 from fracdual import solver
-from fracdual.solver import AscentStatus, CertificateKind, DualSolution, _weak_duality_floor
+from fracdual.problem import _freeze
+from fracdual.solver import (
+    AscentStatus,
+    CertificateKind,
+    DualSolution,
+    _ascent_direction,
+    _weak_duality_floor,
+)
 
 from conftest import (
     GAP_CASE_ARGMIN_X2,
@@ -32,6 +39,49 @@ def make_interior_optimum():
         Q=np.array([[1.0]]), f_vec=np.array([1.0]), B=np.array([[1.0]]),
         lam=0.5, H=np.array([[-2.0]]), b_vec=np.array([-2.0]), delta=0.5,
     )
+
+
+def make_far_start():
+    """Instance whose start ladder must climb past (0, sigma_scale).
+
+    There G >= I, so its smallest pivot is about 1, but the pivot floor
+    1e-10*(1 + max diag G) is about 10, so Cholesky's answer is rejected.
+    """
+    return fd.validate(
+        Q=np.diag([1e6, -1e6]), f_vec=np.array([1.0, 2.0]), B=np.array([[1.0, 0.5]]),
+        lam=1.0, H=-np.diag([1.0, 1e-5]), b_vec=np.array([-1.0, -1e-5]), delta=0.1,
+    )
+
+
+class TestStart:
+    def test_ladder_climbs_past_the_pivot_floor(self):
+        prog = make_far_start()
+        scale = prog.sigma_scale
+        assert fd.find_start(prog, prog.mu0) == DualPoint(prog.mu0, 0.0, 10.0 * scale)
+        assert fd.find_start(prog, prog.mu_max) == DualPoint(prog.mu_max, 10.0, scale)
+        res = fd.solve(prog)
+        assert res.cone_coverage == 1.0
+        assert fd.is_feasible(prog, res.x_star)
+        assert res.P0_value == fd.eval_objective(prog, res.x_star)
+
+
+class TestAscentDirection:
+    # -hessian = diag(2, 0) is the singular case zv = 0 (x at the margin peak)
+    SINGULAR = np.array([[-2.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("free", [(True, True), (False, True)])
+    def test_singular_hessian_still_ascends(self, free):
+        grad = np.array([0.5, 1.0])
+        step = _ascent_direction(self.SINGULAR, grad, np.array(free))
+        assert np.all(np.isfinite(step))
+        assert grad @ step > 0.0
+        assert np.all(step[~np.array(free)] == 0.0)
+
+    def test_regular_hessian_takes_the_newton_step(self):
+        hessian = np.array([[-2.0, 0.5], [0.5, -1.0]])
+        grad = np.array([0.5, 1.0])
+        step = _ascent_direction(hessian, grad, np.array([True, True]))
+        assert_allclose(-hessian @ step, grad)
 
 
 class TestAscent:
@@ -124,7 +174,7 @@ class TestCertify:
         sol = DualSolution(
             point=point, value=fd.dual_value(prog, point), grad_norm=1.0,
             status=AscentStatus.MAX_ITERATIONS, n_iter=1, min_pivot=1.6,
-            value_trace=(0.0,),
+            value_trace=_freeze([0.0]),
         )
         cert = fd.certify(prog, 2.0, sol)
         assert cert.kind is CertificateKind.WEAK_ONLY
@@ -136,7 +186,7 @@ class TestCertify:
         sol = DualSolution(
             point=point, value=fd.dual_value(prog=reference, point=point),
             grad_norm=0.0, status=AscentStatus.NEAR_PD_BOUNDARY, n_iter=1,
-            min_pivot=1e-12, value_trace=(0.0,),
+            min_pivot=1e-12, value_trace=_freeze([0.0]),
         )
         cert = fd.certify(reference, 2.0, sol)
         assert cert.kind is not CertificateKind.PERFECT
