@@ -12,6 +12,13 @@ On the cone where G is positive definite the dual function
 
 is concave, bounds the subproblem from below, and recovers the primal
 candidate x(d) = G^{-1}c.  Interior critical points close the gap exactly.
+
+B'B has rank m <= 3, so the instance does not store it: each
+factorization forms it from B once and carries it to `evaluate_dual`.
+Solves with the Cholesky factor call LAPACK directly, through the
+`potrs` and `trtrs` handles bound once at import, with the arguments
+scipy's `cho_solve` and `solve_triangular` would pass; at n <= 8 their
+per-call checks cost several times the solve itself.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NotPDError
-from .problem import FractionalProgram, pivot_floor
+from .problem import FractionalProgram, gram, pivot_floor
 
 # min_pivot at or below ILL_CONDITIONED_RTOL*(1+max|diag G|) is treated as
 # numerically untrustworthy even though the factorization succeeded.
@@ -32,6 +39,8 @@ BOX_TOL = 1e-12
 # leaves cone membership to Cholesky: well above the pencil's rounding error,
 # well below the pivot floor.
 INERTIA_RTOL = 1e-12
+
+_potrs, _trtrs = get_lapack_funcs(("potrs", "trtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,9 +57,11 @@ class DualPoint:
 class CurvatureFactor:
     """Assembled curvature matrix with its Cholesky factor when definite.
 
-    min_pivot is the smallest squared Cholesky pivot.  It is -inf when
-    Cholesky met a non-positive pivot; that pivot's value is not computed.
-    A factor rejected by the pivot floor keeps its real (tiny) pivot.
+    chol is the C-ordered lower factor L, G = LL'.  btb is the B'B that G
+    was assembled from.  min_pivot is the smallest squared Cholesky pivot.
+    It is -inf when Cholesky met a non-positive pivot; that pivot's value
+    is not computed.  A factor rejected by the pivot floor keeps its real
+    (tiny) pivot.
     """
 
     matrix: np.ndarray
@@ -58,17 +69,31 @@ class CurvatureFactor:
     pd: bool
     min_pivot: float
     diag_scale: float
+    btb: np.ndarray
 
     @property
     def ill_conditioned(self) -> bool:
         return self.min_pivot <= ILL_CONDITIONED_RTOL * (1.0 + self.diag_scale)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve((self.chol, True), rhs)
+        """G^{-1} rhs, as scipy's cho_solve((chol, True), rhs) computes it."""
+        x, info = _potrs(self.chol, rhs, lower=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+        return x
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """L^{-1} rhs, so that |half_solve(c)|^2 = c'G^{-1}c."""
-        return solve_triangular(self.chol, rhs, lower=True)
+        """L^{-1} rhs, so that |half_solve(c)|^2 = c'G^{-1}c.
+
+        As scipy's solve_triangular(chol, rhs, lower=True) computes it: the
+        C-ordered L is handed to LAPACK as the Fortran-ordered L'.
+        """
+        z, info = _trtrs(self.chol.T, rhs, lower=0, trans=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular factor: zero pivot {info - 1}")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK trtrs")
+        return z
 
 
 @dataclass(frozen=True)
@@ -87,18 +112,22 @@ class DualEvaluation:
 
 def curvature_matrix(prog: FractionalProgram, point: DualPoint) -> CurvatureFactor:
     """Assemble G at the dual point and attempt a Cholesky factorization."""
-    G = prog.Q + (point.mu * point.varsigma) * prog.BtB - point.sigma * prog.H
-    diag = np.diag(G)
-    diag_scale = float(np.abs(diag).max())
-    floor = pivot_floor(diag_scale)
+    btb = gram(prog)
+    # Q + (mu*varsigma) B'B - sigma H, with one temporary fewer
+    G = (point.mu * point.varsigma) * btb
+    G += prog.Q
+    G -= point.sigma * prog.H
+    diag_scale = float(np.abs(G.diagonal()).max())
     try:
         chol = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        return CurvatureFactor(G, None, False, -np.inf, diag_scale)
-    min_pivot = float((np.diag(chol) ** 2).min())
-    if min_pivot <= floor:
-        return CurvatureFactor(G, None, False, min_pivot, diag_scale)
-    return CurvatureFactor(G, chol, True, min_pivot, diag_scale)
+        return CurvatureFactor(G, None, False, -np.inf, diag_scale, btb)
+    # the pivots sqrt(.) are >= 0, so the smallest square is the square of the smallest
+    root = float(chol.diagonal().min())
+    min_pivot = root * root
+    if min_pivot <= pivot_floor(diag_scale):
+        return CurvatureFactor(G, None, False, min_pivot, diag_scale, btb)
+    return CurvatureFactor(G, chol, True, min_pivot, diag_scale, btb)
 
 
 def provably_indefinite(
@@ -176,7 +205,7 @@ def evaluate_dual(
     grad_vs = mu * (xi - vs)
     grad_sg = 1.0 / mu - h_at_x
 
-    u = prog.BtB @ x
+    u = fac.btb @ x
     v = prog.H @ x - prog.b_vec
     zu = fac.half_solve(u)
     zv = fac.half_solve(v)
@@ -228,7 +257,7 @@ def total_complementary(prog: FractionalProgram, x, point: DualPoint) -> float:
     """Mixed primal-dual function whose x-minimum equals the dual value on the cone."""
     xa = np.asarray(x, dtype=float)
     mu, vs, sg = point.mu, point.varsigma, point.sigma
-    G = prog.Q + (mu * vs) * prog.BtB - sg * prog.H
+    G = prog.Q + (mu * vs) * gram(prog) - sg * prog.H
     c = prog.f_vec - sg * prog.b_vec
     return float(
         0.5 * xa @ G @ xa - c @ xa - mu * prog.lam * vs - 0.5 * mu * vs**2 + sg / mu

@@ -81,7 +81,6 @@ class FractionalProgram:
     b_vec: np.ndarray
     delta: float
     # derived
-    BtB: np.ndarray
     x_center: np.ndarray
     mu0_inv: float
     mu0: float
@@ -102,6 +101,14 @@ class FractionalProgram:
         """
         w, V = eigh(self.Q, -self.H)
         return _freeze(w), _freeze(self.B @ V)
+
+
+def gram(prog: FractionalProgram) -> np.ndarray:
+    """B'B, formed on each call: it has rank m <= 3, so it is not stored.
+
+    numpy evaluates B.T @ B with syrk, so the result is exactly symmetric.
+    """
+    return prog.B.T @ prog.B
 
 
 def _as_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
@@ -189,7 +196,6 @@ def validate(Q, f_vec, B, lam, H, b_vec, delta) -> FractionalProgram:
         )
     delta = min(delta, mu0_inv)
 
-    BtB = Ba.T @ Ba if m else np.zeros((n, n))
     eigs = np.linalg.eigvalsh(neg_h)
     sigma_scale = float((1.0 + np.linalg.norm(Qa, 2)) / eigs[0])
 
@@ -203,7 +209,6 @@ def validate(Q, f_vec, B, lam, H, b_vec, delta) -> FractionalProgram:
         H=_freeze(Ha),
         b_vec=_freeze(b),
         delta=delta,
-        BtB=_freeze(0.5 * (BtB + BtB.T)),
         x_center=_freeze(y),
         mu0_inv=mu0_inv,
         mu0=1.0 / mu0_inv,

@@ -5,15 +5,20 @@ variables (Newton step, gradient fallback, backtracking that keeps iterates
 inside the positive definite cone, monotone in the dual value).  Backtracking
 factorizes the full step; once a trial falls outside the cone, the remaining
 halvings are screened by inertia through the instance's (Q, -H) pencil, and
-only trials not proven indefinite are factorized.  A converged point is
-turned into a certificate by recomputing the primal-dual gap, the
-stationarity of the canonical measure, and boundary complementarity.  The
-outer solve scans a uniform grid over [mu0, 1/delta], golden-section refines
-around the incumbent, and returns the best feasible candidate.
+only trials not proven indefinite are factorized.  Each factorization forms
+B'B from B (the instance does not store it), and its solves call LAPACK's
+`potrs` and `trtrs` directly through the handles bound in dual.py, so an
+ascent step at small n costs its arithmetic, not scipy's per-call checks.
+A converged point is turned into a certificate by recomputing the primal-dual
+gap, the stationarity of the canonical measure, and boundary
+complementarity.  The outer solve scans a uniform grid over [mu0, 1/delta],
+golden-section refines around the incumbent, and returns the best feasible
+candidate.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .dual import (
+    CurvatureFactor,
     DualEvaluation,
     DualPoint,
     canonical_measure,
@@ -36,6 +42,7 @@ from .problem import (
     eval_objective,
     eval_subproblem,
     eval_terms,
+    gram,
     is_feasible,
 )
 
@@ -133,13 +140,18 @@ def _bounds(prog: FractionalProgram) -> np.ndarray:
 
 def find_start(prog: FractionalProgram, mu: float) -> DualPoint:
     """Scan a coarse (varsigma, sigma) ladder for a definite starting point."""
-    mu = check_mu(prog, mu)
+    return _start(prog, check_mu(prog, mu))[0]
+
+
+def _start(prog: FractionalProgram, mu: float) -> tuple[DualPoint, CurvatureFactor]:
+    """The first definite point of the start ladder, with its factor."""
     for s_mult in (0.0, 1.0, 10.0, 100.0):
         sigma = s_mult * prog.sigma_scale
         for v_mult in (0.0, 1.0, 10.0):
             point = DualPoint(mu, v_mult, sigma)
-            if curvature_matrix(prog, point).pd:
-                return point
+            fac = curvature_matrix(prog, point)
+            if fac.pd:
+                return point, fac
     raise NoStartingPointError(f"no definite dual point found at mu={mu:.6g}")
 
 
@@ -152,15 +164,19 @@ def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -
     gradient replaces a solve that raises, is not finite or does not ascend.
     """
     step = np.zeros(2)
-    idx = np.flatnonzero(free)
-    if idx.size == 0:
+    if free.all():
+        idx = slice(0, 2)
+    elif free.any():
+        i = int(free.argmax())
+        idx = slice(i, i + 1)
+    else:
         return step
     g = grad[idx]
     try:
-        s = np.linalg.solve(-hessian[np.ix_(idx, idx)], g)
+        s = np.linalg.solve(-hessian[idx, idx], g)
     except np.linalg.LinAlgError:
         s = g
-    step[idx] = s if np.all(np.isfinite(s)) and g @ s > 0.0 else g
+    step[idx] = s if np.isfinite(s).all() and g @ s > 0.0 else g
     return step
 
 
@@ -178,26 +194,27 @@ def _try_step(
 ):
     """Backtrack from the full step by halving until the dual rises enough.
 
-    After the first trial found outside the cone, the remaining trials are
-    screened in one batch by inertia, and those proven indefinite are not
-    factorized; Cholesky still decides every trial that could be accepted.
+    Trials stop at the first one that no longer moves.  After the first trial
+    found outside the cone, the remaining trials are screened in one batch
+    by inertia, and those proven indefinite are not factorized; Cholesky
+    still decides every trial that could be accepted.
     """
     trials = np.maximum(d + _HALVINGS * step, lo)
+    moves = trials - d
+    moving = moves.any(axis=1)
+    count = len(trials) if moving.all() else int(moving.argmin())
     skip = None
-    for k, trial in enumerate(trials):
-        move = trial - d
-        if not np.any(move):
-            return None
+    for k in range(count):
         if skip is not None and skip[k]:
             continue
-        point = DualPoint(mu, float(trial[0]), float(trial[1]))
+        point = DualPoint(mu, float(trials[k, 0]), float(trials[k, 1]))
         fac = curvature_matrix(prog, point)
         if fac.pd:
             ev = evaluate_dual(prog, point, fac=fac)
-            if ev.value > value and ev.value >= value + 1e-4 * (grad @ move):
-                return trial, ev
+            if ev.value > value and ev.value >= value + 1e-4 * (grad @ moves[k]):
+                return trials[k], ev
         elif skip is None:
-            skip = provably_indefinite(prog, mu * trials[:, 0], trials[:, 1])
+            skip = provably_indefinite(prog, mu * trials[:count, 0], trials[:count, 1])
     return None
 
 
@@ -222,25 +239,25 @@ def maximize_dual(
     opts = opts or SolverOptions()
     mu = check_mu(prog, mu)
     lo = _bounds(prog)
-    start = find_start(prog, mu)
+    lo_edge = lo + _BOUND_RTOL * (1.0 + np.abs(lo))
+    start, fac = _start(prog, mu)
     d = start.as_array()
-    ev = evaluate_dual(prog, start)
+    ev = evaluate_dual(prog, start, fac=fac)
     trace = [ev.value]
     converged = False
     pg_norm = np.inf
     n_iter = 0
     for n_iter in range(1, opts.max_iter + 1):
         grad = np.array([ev.grad_varsigma, ev.grad_sigma])
-        at_lo = d <= lo + _BOUND_RTOL * (1.0 + np.abs(lo))
-        clamped = at_lo & (grad < 0.0)
+        clamped = (d <= lo_edge) & (grad < 0.0)
         pg = np.where(clamped, 0.0, grad)
-        pg_norm = float(np.linalg.norm(pg))
+        pg_norm = math.sqrt(pg.dot(pg))  # np.linalg.norm's arithmetic, without its dispatch
         converged = pg_norm <= opts.tol_grad * (1.0 + abs(ev.value))
         if converged:
             break
         step = _ascent_direction(ev.hessian, pg, ~clamped)
         moved = _try_step(prog, mu, d, step, grad, ev.value, lo)
-        if moved is None and np.any(step != pg):
+        if moved is None and (step != pg).any():
             moved = _try_step(prog, mu, d, pg, grad, ev.value, lo)
         if moved is None:
             break
@@ -400,7 +417,7 @@ def _objective_gradient(prog: FractionalProgram, x: np.ndarray) -> np.ndarray:
     _, well, margin = eval_terms(prog, x)
     if prog.m:
         xi = canonical_measure(prog, x)
-        well_grad = xi * (prog.BtB @ x)
+        well_grad = xi * (gram(prog) @ x)
     else:
         well_grad = np.zeros(prog.n)
     return quad_grad + (well_grad * margin - well * margin_grad) / (margin * margin)

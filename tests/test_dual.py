@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import cho_solve, solve_triangular
 
 import fracdual as fd
+from fracdual import dual
 from fracdual.dual import DualPoint, provably_indefinite
 
 from conftest import make_reference
@@ -39,6 +43,64 @@ class TestCurvature:
         assert fac.chol is None
         with pytest.raises(fd.NotPDError):
             fd.evaluate_dual(prog, P(1.0, 0.0, 0.0))
+
+
+def _bits(arr):
+    """The IEEE bit patterns, so that -0.0 != 0.0 and equal means identical."""
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+class TestLapackSolves:
+    """The factor's direct LAPACK calls against scipy's wrappers, bit for bit."""
+
+    @given(st.sampled_from([*range(1, 9), 64, 128]), st.integers(0, 10_000))
+    def test_solves_match_scipy_bitwise(self, n, seed):
+        prog = fd.generate_program(n, seed % 4, seed=seed)
+        fac = fd.curvature_matrix(prog, fd.find_start(prog, prog.mu_max))
+        assert fac.pd
+        rng = np.random.default_rng(seed)
+        for rhs in (rng.normal(size=n), prog.f_vec - 2.5 * prog.b_vec, np.zeros(n)):
+            assert_array_equal(_bits(fac.solve(rhs)), _bits(cho_solve((fac.chol, True), rhs)))
+            assert_array_equal(
+                _bits(fac.half_solve(rhs)),
+                _bits(solve_triangular(fac.chol, rhs, lower=True)),
+            )
+
+    @given(st.integers(0, 10_000), st.sampled_from([1.0, 1e6]))
+    def test_curvature_matrix_matches_stored_gram(self, seed, conditioning):
+        # B'B is formed per factorization; it must equal, bit for bit, the
+        # symmetrized product that instances used to store
+        prog = fd.generate_program(1 + seed % 8, seed % 4, seed=seed, conditioning=conditioning)
+        btb = prog.B.T @ prog.B
+        btb_stored = 0.5 * (btb + btb.T)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            mu = float(rng.uniform(prog.mu0, prog.mu_max))
+            vs = float(rng.uniform(-prog.lam, 5.0))
+            sg = float(rng.uniform(0.0, 3.0) * prog.sigma_scale)
+            fac = fd.curvature_matrix(prog, P(mu, vs, sg))
+            expected = prog.Q + (mu * vs) * btb_stored - sg * prog.H
+            assert_array_equal(_bits(fac.matrix), _bits(expected))
+            assert_array_equal(_bits(fac.btb), _bits(btb_stored))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        prog = fd.generate_program(3, 1, seed=7)
+        fac = fd.curvature_matrix(prog, fd.find_start(prog, prog.mu0))
+        rhs = np.ones(3)
+        # a zero pivot makes trtrs report info > 0
+        chol = np.array(fac.chol)
+        chol[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            dataclasses.replace(fac, chol=chol).half_solve(rhs)
+        # an illegal argument is reported as info < 0
+        monkeypatch.setattr(dual, "_potrs", lambda c, b, lower: (np.full_like(b, np.nan), -2))
+        monkeypatch.setattr(
+            dual, "_trtrs", lambda a, b, lower, trans: (np.full_like(b, np.nan), -2)
+        )
+        with pytest.raises(ValueError):
+            fac.solve(rhs)
+        with pytest.raises(ValueError):
+            fac.half_solve(rhs)
 
 
 class TestConeMembership:
