@@ -31,7 +31,7 @@ import hashlib  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-HERE = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _hex(values) -> str:
@@ -63,13 +63,13 @@ def instance_lines(fd, name: str, seed: int, text: str):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", type=int, default=1000, help="first seed of every workload range")
-    ap.add_argument("--root", type=Path, default=HERE, help="checkout whose src/ is solved")
+    ap.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is solved")
     ap.add_argument("--workload", action="append", default=None,
                     help="solve only this workload (repeatable; default: all three)")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.root.resolve() / "src"))
-    sys.path.insert(0, str(HERE / "perfbench"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import fracdual as fd
     from workloads import WORKLOADS
 
