@@ -5,7 +5,8 @@ Solves each instance of the three benchmark workloads (`mixed`, `large-n`,
 `ill-conditioned`, from perfbench/workloads.py) at a given `--base` and
 prints, as float hex:
 
-    per instance: P0, x_star and the certificate kind;
+    per instance: P0, x_star, the certificate kind and the global lower
+                  bound;
     per slice:    mu, note, P0 of its candidate, n_iter, status,
                   value_trace, the final dual point, min_pivot and the
                   slice's certificate kind.
@@ -46,7 +47,8 @@ def instance_lines(fd, name: str, seed: int, text: str):
     prog = fd.parse_instance(text)
     res = fd.solve(prog)
     yield (f"{name} {seed} P0 {float(res.P0_value).hex()} "
-           f"cert {_kind(res.certificate)} x {_hex(res.x_star)}")
+           f"cert {_kind(res.certificate)} x {_hex(res.x_star)} "
+           f"lb {float(res.global_lower_bound).hex()}")
     for s in res.mu_profile:
         p0 = "-" if s.p0 is None else float(s.p0).hex()
         head = f"  mu {float(s.mu).hex()} note {s.note or '-'} p0 {p0} cert {_kind(s.certificate)}"

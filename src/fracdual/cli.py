@@ -78,7 +78,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     kind = result.certificate.kind
     print(
         f"certificate={kind.value} P0={result.P0_value:.12g} "
-        f"mu_star={result.mu_star:.9g} gap={result.certificate.gap:.3g} -> {out}"
+        f"mu_star={result.mu_star:.9g} gap={result.certificate.gap:.3g} "
+        f"global_gap={result.global_gap:.3g} -> {out}"
     )
     return 0 if kind is CertificateKind.PERFECT else 1
 

@@ -165,6 +165,8 @@ def result_payload(result: SolveResult) -> dict:
         "primal_value": float(result.P0_value),
         "dual_value": _finite_or_none(result.best_dual_value),
         "gap": _finite_or_none(result.certificate.gap),
+        "global_lower_bound": _finite_or_none(result.global_lower_bound),
+        "global_gap": _finite_or_none(result.global_gap),
         "certificate_kind": result.certificate.kind.value,
         "mu_profile": profile,
         "solver_options": {

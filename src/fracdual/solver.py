@@ -11,9 +11,17 @@ B'B from B (the instance does not store it), and its solves call LAPACK's
 ascent step at small n costs its arithmetic, not scipy's per-call checks.
 A converged point is turned into a certificate by recomputing the primal-dual
 gap, the stationarity of the canonical measure, and boundary
-complementarity.  The outer solve scans a uniform grid over [mu0, 1/delta],
-golden-section refines around the incumbent, and returns the best feasible
-candidate.
+complementarity.
+
+The outer solve scans a uniform grid over [mu0, 1/delta], golden-section
+refines around the incumbent, polishes the best candidates by local descent
+of the ratio objective, and returns the best feasible candidate.  Every
+solved slice also bounds the global minimum from below: with tau =
+mu*varsigma and s = 1/mu, its final dual point gives a line A + B*s with
+slope B = sigma - tau^2/2 that lies below every slice of [delta, 1/mu0]
+(Fenchel-Young), so the minimum over s of the lines' upper envelope is a
+lower bound LB on the whole region.  Once the best feasible value UB is within tol_gap of LB,
+refinement and polish cannot gain more than the tolerance and are skipped.
 """
 
 from __future__ import annotations
@@ -125,6 +133,8 @@ class SolveResult:
     cone_coverage: float
     options: SolverOptions
     timings: dict
+    global_lower_bound: float  # below P0(x) for every feasible x
+    global_gap: float  # P0_value - global_lower_bound
 
 
 _BOUND_RTOL = 1e-12
@@ -408,6 +418,8 @@ def _singleton_result(prog: FractionalProgram, opts: SolverOptions, t0: float) -
         cone_coverage=1.0,
         options=opts,
         timings={"total_s": time.perf_counter() - t0, "grid_s": 0.0, "refine_s": 0.0},
+        global_lower_bound=p0,
+        global_gap=0.0,
     )
 
 
@@ -553,6 +565,72 @@ def _refine(
             fd = key_of(d)
 
 
+def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> float:
+    """min over s in [lo, hi] of max_k (A_k + B_k*s), for K >= 1 lines.
+
+    The envelope is convex and piecewise linear.  When neither end is the
+    minimum, a falling line active left of it and a rising line active
+    right of it bracket the minimizer; the envelope at their crossing is
+    either on one of them, and then it is the minimum, or on a new line
+    whose slope sign says which of the two it replaces.  Each step adds a
+    line of the envelope, so it takes at most K steps and O(K) each.  Should
+    rounding keep it from settling, the last crossing of two lines is
+    returned: it lies below the envelope's minimum.
+    """
+
+    def top(s: float) -> tuple[int, float]:
+        vals = A + B * s
+        k = int(vals.argmax())
+        return k, float(vals[k])
+
+    left, value = top(lo)
+    if B[left] >= 0.0:
+        return value
+    right, value = top(hi)
+    if B[right] <= 0.0:
+        return value
+    for _ in range(len(A)):
+        s = (A[left] - A[right]) / (B[right] - B[left])
+        crossing = float(max(A[left] + B[left] * s, A[right] + B[right] * s))
+        k, value = top(s)
+        if value <= crossing or B[k] == 0.0:
+            return value
+        if B[k] < 0.0:
+            left = k
+        else:
+            right = k
+    return crossing
+
+
+def _global_lower_bound(prog: FractionalProgram, samples: list[MuSample]) -> float:
+    """Lower bound on the objective over the whole region from solved slices.
+
+    At tau = mu*varsigma and s = 1/mu a slice's dual value is A(tau, sigma)
+    + (sigma - tau^2/2)*s, and A does not depend on s.  By Fenchel-Young
+    (0.5*xi^2 >= varsigma*xi - 0.5*varsigma^2 for every varsigma) that line
+    stays below the penalized minimum of every slice, off the box too, as
+    long as G is definite there; every final dual point passed Cholesky
+    and the pivot floor, boundary slices included.  -inf when no slice was
+    solved.
+    """
+    sols = [s.solution for s in samples if s.solution is not None]
+    if not sols:
+        return -np.inf
+    mu = np.array([sol.point.mu for sol in sols])
+    tau = mu * np.array([sol.point.varsigma for sol in sols])
+    slope = np.array([sol.point.sigma for sol in sols]) - 0.5 * tau * tau
+    intercept = np.array([sol.value for sol in sols]) - slope / mu
+    return _envelope_min(intercept, slope, prog.delta, prog.mu0_inv)
+
+
+def _gap_closed(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample]) -> bool:
+    """True when the best feasible value is within tol_gap of the global bound."""
+    upper = min((s.p0 for s in samples if s.p0 is not None), default=np.inf)
+    if not np.isfinite(upper):
+        return False
+    return upper - _global_lower_bound(prog, samples) <= opts.tol_gap * (1.0 + abs(upper))
+
+
 def mu_grid(prog: FractionalProgram, grid: int) -> np.ndarray:
     """The sweep's uniform grid of `grid` points over [mu0, mu_max].
 
@@ -580,11 +658,16 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
             f"no subproblem produced a dual solution over {len(samples)} grid points"
         )
 
-    if opts.refine_rounds > 0:
+    # Refinement and polish only lower the best feasible value, so neither
+    # runs once that value is within tol_gap of the global lower bound.
+    closed = _gap_closed(prog, opts, samples)
+    if opts.refine_rounds > 0 and not closed:
         _refine(prog, opts, samples, mus)
+        closed = _gap_closed(prog, opts, samples)
     t_refine = time.perf_counter()
 
-    _polish(prog, opts, samples)
+    if not closed:
+        _polish(prog, opts, samples)
     t_polish = time.perf_counter()
 
     best = _select(samples)
@@ -604,6 +687,7 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
 
     cert = best.certificate
     dual_best = best.solution.value if best.solution is not None else cert.dual_value
+    lower = _global_lower_bound(prog, samples)
     result = SolveResult(
         x_star=np.array(best.x),
         mu_star=best.mu,
@@ -620,14 +704,23 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
             "refine_s": t_refine - t_grid,
             "polish_s": t_polish - t_refine,
         },
+        global_lower_bound=lower,
+        global_gap=float(best.p0) - lower,
     )
     _weak_duality_floor(prog, result)
     return result
 
 
 def _weak_duality_floor(prog: FractionalProgram, result: SolveResult) -> None:
-    # Lower-bound sanity: a feasible candidate of the mu* subproblem can never
-    # fall below its own dual value.
+    # Lower-bound sanity: no feasible point, the answer included, can fall
+    # below the global bound, and a feasible candidate of the mu* subproblem
+    # can never fall below its own dual value.
+    lower = result.global_lower_bound
+    if lower > result.P0_value + 1e-6 * (1.0 + abs(lower)):
+        raise WeakDualityError(
+            f"weak duality violated: answer {result.P0_value:.12g} below "
+            f"global lower bound {lower:.12g}"
+        )
     if not np.isfinite(result.best_dual_value):
         return
     if not is_feasible(prog, result.x_star, mu=result.mu_star):

@@ -29,6 +29,7 @@ class TestSolve:
         assert code == 0
         out = capsys.readouterr().out
         assert "certificate=Perfect" in out
+        assert "global_gap=" in out
         result_path = reference_file.with_suffix(".result.json")
         assert result_path.exists()
         data = json.loads(result_path.read_text())

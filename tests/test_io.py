@@ -135,12 +135,14 @@ class TestResultSerialization:
         data = json.loads(text)
         assert set(data) == {
             "x_star", "mu_star", "varsigma", "sigma", "primal_value",
-            "dual_value", "gap", "certificate_kind", "mu_profile",
-            "solver_options", "timings",
+            "dual_value", "gap", "global_lower_bound", "global_gap",
+            "certificate_kind", "mu_profile", "solver_options", "timings",
         }
         assert data["certificate_kind"] == "Perfect"
         assert data["x_star"] == [float(result.x_star[0])]
         assert data["primal_value"] == result.P0_value
+        assert data["global_lower_bound"] == result.global_lower_bound
+        assert data["global_gap"] == result.global_gap
         assert data["solver_options"]["grid"] == 12
         assert len(data["mu_profile"]) == len(result.mu_profile)
         entry = data["mu_profile"][0]

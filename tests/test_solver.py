@@ -1,8 +1,9 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import fracdual as fd
@@ -14,6 +15,8 @@ from fracdual.solver import (
     CertificateKind,
     DualSolution,
     _ascent_direction,
+    _envelope_min,
+    _snap_to_margin,
     _weak_duality_floor,
 )
 
@@ -218,6 +221,8 @@ class TestSolve:
         assert res.mu_star == pytest.approx(1.0)
         assert len(res.mu_profile) == 1
         assert res.mu_profile[0].status_label == "DirectSingleton"
+        assert res.global_lower_bound == res.P0_value
+        assert res.global_gap == 0.0
 
     def test_interior_optimum_prefers_smallest_parameter(self):
         # every subproblem certifies the same interior point, so the
@@ -257,6 +262,120 @@ class TestSolve:
         with pytest.raises(fd.WeakDualityError):
             _weak_duality_floor(reference, broken)
         assert issubclass(fd.WeakDualityError, fd.FracdualError)
+
+    def test_global_bound_above_the_answer_is_a_fracdual_error(self, reference):
+        res = fd.solve(reference)
+        _weak_duality_floor(
+            reference, dataclasses.replace(res, global_lower_bound=res.P0_value + 1e-9)
+        )
+        broken = dataclasses.replace(res, global_lower_bound=res.P0_value + 1e-3)
+        with pytest.raises(fd.WeakDualityError):
+            _weak_duality_floor(reference, broken)
+
+
+def _brute_envelope_min(A, B, lo, hi):
+    # every candidate minimizer: both ends and each pairwise crossing inside
+    i, j = np.triu_indices(len(A), 1)
+    keep = B[i] != B[j]
+    s = (A[i][keep] - A[j][keep]) / (B[j][keep] - B[i][keep])
+    s = np.concatenate([[lo, hi], s[(s > lo) & (s < hi)]])
+    return float((A[:, None] + B[:, None] * s).max(axis=0).min())
+
+
+def _mp_envelope_min(lines, lo, hi):
+    # the same crossing search as the solver's, in mpmath arithmetic
+    def top(s):
+        a, b = max(lines, key=lambda line: line[0] + line[1] * s)
+        return (a, b), a + b * s
+
+    left, value = top(lo)
+    if left[1] >= 0:
+        return value
+    right, value = top(hi)
+    if right[1] <= 0:
+        return value
+    for _ in range(len(lines)):
+        s = (left[0] - right[0]) / (right[1] - left[1])
+        line, value = top(s)
+        if value <= max(left[0] + left[1] * s, right[0] + right[1] * s) or line[1] == 0:
+            return value
+        if line[1] < 0:
+            left = line
+        else:
+            right = line
+    raise AssertionError("no crossing settled")
+
+
+def _mp_line(prog, point):
+    """Intercept and slope of a slice's line s -> A + B*s at 50 digits."""
+    mu = mpmath.mpf(point.mu)
+    tau = mu * mpmath.mpf(point.varsigma)
+    sigma = mpmath.mpf(point.sigma)
+    G = mpmath.matrix(prog.Q.tolist()) - sigma * mpmath.matrix(prog.H.tolist())
+    if prog.m:
+        B = mpmath.matrix(prog.B.tolist())
+        G += tau * (B.T * B)
+    c = mpmath.matrix(prog.f_vec.tolist()) - sigma * mpmath.matrix(prog.b_vec.tolist())
+    quad = (c.T * mpmath.lu_solve(G, c))[0]
+    return -quad / 2 - mpmath.mpf(prog.lam) * tau, sigma - tau * tau / 2
+
+
+class TestGlobalBound:
+    def test_envelope_min_matches_every_crossing(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            k = int(rng.integers(1, 25))
+            A = rng.normal(size=k)
+            B = rng.normal(size=k) * rng.choice([0.0, 1.0, 10.0], size=k)
+            if k > 2:
+                A[1], B[1] = A[0], B[0]  # a repeated line
+            lo, hi = np.sort(rng.normal(size=2))
+            want = _brute_envelope_min(A, B, lo, hi)
+            assert _envelope_min(A, B, lo, hi) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_reference_closes_without_polish(self, reference):
+        res = fd.solve(reference)
+        assert all(s.note != "Polished" for s in res.mu_profile)
+        assert 0.0 <= res.global_gap <= 1e-6 * (1.0 + abs(res.P0_value))
+
+    def test_gap_case_polished_point_is_globally_optimal(self, gap_case):
+        # the winning slice sits on the definiteness boundary, so it stays
+        # uncertified, but the lines of the solved slices prove its value
+        res = fd.solve(gap_case)
+        assert res.certificate.kind is CertificateKind.NONE
+        assert any(s.note == "Polished" for s in res.mu_profile)
+        assert res.global_gap == res.P0_value - res.global_lower_bound
+        assert abs(res.global_gap) <= 1e-6 * (1.0 + abs(res.P0_value))
+        assert res.global_lower_bound <= GAP_CASE_MIN + 1e-9
+
+    @pytest.mark.parametrize("seed", [1027, 1028, 1033, 1034])
+    def test_bound_survives_exact_arithmetic(self, seed):
+        # ill-conditioned slices: the float bound may not sit above the
+        # envelope of the same dual points' lines evaluated at 50 digits
+        prog = fd.generate_program(1 + seed % 6, seed % 4, seed=seed, conditioning=1e6)
+        res = fd.solve(prog)
+        with mpmath.workdps(50):
+            lines = [_mp_line(prog, s.solution.point) for s in res.mu_profile
+                     if s.solution is not None]
+            exact = _mp_envelope_min(
+                lines, mpmath.mpf(prog.delta), mpmath.mpf(prog.mu0_inv)
+            )
+            excess = (res.global_lower_bound - exact) / (1 + abs(exact))
+        assert excess <= 1e-12
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 10_000))
+def test_global_bound_is_below_the_minimum(n, m, seed):
+    prog = fd.generate_program(n, m, seed=seed)
+    res = fd.solve(prog, fd.SolverOptions(grid=12, refine_rounds=1))
+    assert res.global_lower_bound <= res.P0_value + 1e-12 * (1.0 + abs(res.P0_value))
+    # the oracle admits points up to the feasibility slack outside the
+    # region, so its own minimum can undercut the true one by a few 1e-9;
+    # its point pulled radially inside bounds the minimum from above
+    inside = _snap_to_margin(prog, fd.grid_minimize_objective(prog).argmin, prog.delta)
+    reference = fd.eval_objective(prog, inside)
+    assert res.global_lower_bound <= reference + 1e-12 * (1.0 + abs(reference))
 
 
 class TestProbes:
