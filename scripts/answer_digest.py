@@ -20,6 +20,17 @@ The last line is the sha256 of everything before it.  Two outputs that
 `--root` picks the checkout whose `src/` is solved (default: this one);
 the workloads always come from this checkout's perfbench/, read-only.
 BLAS runs on one thread, as in the benchmark.
+
+Answers may move within the solver's tolerance, so a change that is not
+meant to be bit-identical is checked against an earlier digest instead:
+
+    python3 scripts/answer_digest.py --base 1000 --against digest_1000.txt
+
+prints, instead of the digest, every instance whose certificate kind
+changed or whose P0 rose by more than tol_gap*(1+|P0|) (tol_gap is the
+default `SolverOptions().tol_gap`), or that only one of the two solved, then
+how many instances end with P0 - LB <= tol_gap*(1+|P0|) on each side.
+It exits 1 when it listed any instance.
 """
 
 import os
@@ -62,12 +73,52 @@ def instance_lines(fd, name: str, seed: int, text: str):
                f"trace {_hex(sol.value_trace)}")
 
 
+def _instances(lines) -> dict:
+    """(workload, seed) -> (P0, certificate kind, lower bound) of a digest."""
+    table = {}
+    for line in lines:
+        tok = line.split()
+        if tok and not line.startswith(" ") and tok[0] != "sha256":
+            table[tok[0], int(tok[1])] = (float.fromhex(tok[3]), tok[5], float.fromhex(tok[-1]))
+    return table
+
+
+def against(old_lines, new_lines, tol_gap: float) -> int:
+    new = _instances(new_lines)
+    names = {name for name, _ in new}
+    old = {key: v for key, v in _instances(old_lines).items() if key[0] in names}
+
+    def closed(p0, lb):
+        return p0 - lb <= tol_gap * (1.0 + abs(p0))
+
+    listed = 0
+    for key in sorted(old.keys() | new.keys()):
+        name = f"{key[0]} {key[1]}"
+        if key not in old or key not in new:
+            print(f"{name}: solved only in {'DIGEST' if key in old else 'this run'}")
+            listed += 1
+            continue
+        (p_old, k_old, _), (p_new, k_new, _) = old[key], new[key]
+        if k_old != k_new:
+            print(f"{name}: certificate {k_old} -> {k_new}")
+            listed += 1
+        if p_new - p_old > tol_gap * (1.0 + abs(p_old)):
+            print(f"{name}: P0 rose {p_old!r} -> {p_new!r}")
+            listed += 1
+    print(f"gap closed: DIGEST {sum(closed(p, lb) for p, _, lb in old.values())} of {len(old)}, "
+          f"this run {sum(closed(p, lb) for p, _, lb in new.values())} of {len(new)}")
+    print(f"listed: {listed}")
+    return 1 if listed else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", type=int, default=1000, help="first seed of every workload range")
     ap.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is solved")
     ap.add_argument("--workload", action="append", default=None,
                     help="solve only this workload (repeatable; default: all three)")
+    ap.add_argument("--against", type=Path, default=None, metavar="DIGEST",
+                    help="compare with an earlier digest instead of printing one")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.root.resolve() / "src"))
@@ -75,12 +126,15 @@ def main(argv=None) -> int:
     import fracdual as fd
     from workloads import WORKLOADS
 
+    lines = [line for name in args.workload or list(WORKLOADS)
+             for seed, text in WORKLOADS[name].texts(args.base)
+             for line in instance_lines(fd, name, seed, text)]
+    if args.against is not None:
+        return against(args.against.read_text().splitlines(), lines, fd.SolverOptions().tol_gap)
     digest = hashlib.sha256()
-    for name in args.workload or list(WORKLOADS):
-        for seed, text in WORKLOADS[name].texts(args.base):
-            for line in instance_lines(fd, name, seed, text):
-                digest.update(line.encode() + b"\n")
-                print(line)
+    for line in lines:
+        digest.update(line.encode() + b"\n")
+        print(line)
     print(f"sha256 {digest.hexdigest()}")
     return 0
 

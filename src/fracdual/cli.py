@@ -35,7 +35,6 @@ def _solver_options(args: argparse.Namespace) -> SolverOptions:
         max_iter=args.max_iter,
         tol_grad=args.tol_grad,
         tol_gap=args.tol_gap,
-        refine_rounds=args.refine_rounds,
         seed=args.seed,
     )
 
@@ -50,13 +49,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=_positive_int, default=64, help="parameter sweep resolution")
-    p.add_argument("--max-iter", type=int, default=500, help="ascent iteration cap")
-    p.add_argument("--tol-gap", type=float, default=1e-6, help="certification gap tolerance")
-    p.add_argument("--tol-grad", type=float, default=1e-8, help="ascent convergence tolerance")
-    p.add_argument("--refine-rounds", type=int, default=3, help="interval refinement rounds")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in the result")
+    p.add_argument("--max-iter", type=_positive_int, default=500, help="ascent iteration cap")
+    p.add_argument(
+        "--tol-gap", type=_positive_float, default=1e-6, help="certification gap tolerance"
+    )
+    p.add_argument(
+        "--tol-grad", type=_positive_float, default=1e-8, help="ascent convergence tolerance"
+    )
+    p.add_argument("--seed", type=int, default=0, help="seed of the polish's jittered starts")
 
 
 def _read_instance(path: str) -> FractionalProgram:

@@ -174,7 +174,6 @@ def result_payload(result: SolveResult) -> dict:
             "max_iter": opts.max_iter,
             "tol_grad": opts.tol_grad,
             "tol_gap": opts.tol_gap,
-            "refine_rounds": opts.refine_rounds,
             "seed": opts.seed,
         },
         "timings": {k: float(v) for k, v in result.timings.items()},

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLargeError
-from .problem import FractionalProgram, check_mu, feasibility_slack
+from .problem import FractionalProgram, check_mu
 
 MAX_ORACLE_DIM = 3
 DEFAULT_RESOLUTION = {1: 1e-5, 2: 1e-3, 3: 1e-2}
@@ -62,7 +62,7 @@ def _margin_batch(prog: FractionalProgram, pts: np.ndarray) -> np.ndarray:
 def _objective_batch(prog, pts, mu, bound):
     """Objective on feasible points, +inf elsewhere; returns (values, n_feasible)."""
     margin = _margin_batch(prog, pts)
-    feas = margin >= bound - feasibility_slack(bound)
+    feas = margin >= bound
     if mu is None:
         feas &= margin > 0.0
     vals = np.full(len(pts), np.inf)
@@ -174,8 +174,9 @@ def _grid_minimize(prog: FractionalProgram, mu: float | None, resolution: float 
 
     if best_x is None:
         # no feasible grid point: fall back to the margin peak, always feasible
+        # (its margin is mu0_inv >= bound, but rounding may put it just below)
         best_x = np.array(prog.x_center)
-        best_val = _objective_single(prog, best_x, mu, bound)
+        best_val = _objective_single(prog, best_x, mu, -np.inf)
         n_evals += 1
     return OracleReport(
         min_value=float(best_val),

@@ -13,15 +13,18 @@ A converged point is turned into a certificate by recomputing the primal-dual
 gap, the stationarity of the canonical measure, and boundary
 complementarity.
 
-The outer solve scans a uniform grid over [mu0, 1/delta], golden-section
-refines around the incumbent, polishes the best candidates by local descent
-of the ratio objective, and returns the best feasible candidate.  Every
-solved slice also bounds the global minimum from below: with tau =
-mu*varsigma and s = 1/mu, its final dual point gives a line A + B*s with
-slope B = sigma - tau^2/2 that lies below every slice of [delta, 1/mu0]
-(Fenchel-Young), so the minimum over s of the lines' upper envelope is a
-lower bound LB on the whole region.  Once the best feasible value UB is within tol_gap of LB,
-refinement and polish cannot gain more than the tolerance and are skipped.
+The outer solve scans a uniform grid over [mu0, 1/delta] and returns the
+best feasible candidate.  Every solved slice also bounds the global
+minimum from below: with tau = mu*varsigma and s = 1/mu, its final dual
+point gives a line A + B*s with slope B = sigma - tau^2/2 that lies below
+every slice of [delta, 1/mu0] (Fenchel-Young), so the minimum over s of
+the lines' upper envelope is a lower bound LB on the whole region.  The
+dual bound D(s) is a supremum of such lines, so it is convex in s, and
+refinement follows Kelley's cutting-plane rule: while the best feasible
+value UB is more than tol_gap above LB, it solves the slice where the
+envelope bottoms out.  A gap left open (a duality gap, or slices that stop
+short on the definiteness boundary) goes to a polish by local descent of
+the ratio objective from the best candidates.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ class SolverOptions:
     max_iter: int = 500
     tol_grad: float = 1e-8
     tol_gap: float = 1e-6
-    refine_rounds: int = 3
     seed: int = 0
 
 
@@ -417,7 +419,8 @@ def _singleton_result(prog: FractionalProgram, opts: SolverOptions, t0: float) -
         mu_profile=(sample,),
         cone_coverage=1.0,
         options=opts,
-        timings={"total_s": time.perf_counter() - t0, "grid_s": 0.0, "refine_s": 0.0},
+        timings={"total_s": time.perf_counter() - t0, "grid_s": 0.0, "refine_s": 0.0,
+                 "polish_s": 0.0},
         global_lower_bound=p0,
         global_gap=0.0,
     )
@@ -436,15 +439,19 @@ def _objective_gradient(prog: FractionalProgram, x: np.ndarray) -> np.ndarray:
 
 
 def _descend(prog: FractionalProgram, x0: np.ndarray, max_iter: int = 250):
-    """Projected gradient descent of the ratio objective over the region.
+    """Projected descent of the ratio objective over the region.
 
-    Projection is the radial snap onto the margin-delta shell, so iterates
-    stay feasible; plain backtracking with strict decrease."""
+    Steps follow (-H)^{-1} times the gradient: the steepest descent in the
+    metric of -H, where the region is a ball about x_center.  There the
+    radial snap onto the margin-delta shell is the exact projection, so
+    the descent stops only at KKT points.  Plain backtracking with strict
+    decrease."""
+    metric = np.linalg.inv(-prog.H)
     x = _snap_to_margin(prog, np.asarray(x0, dtype=float), prog.delta)
     val = eval_objective(prog, x)
     t = 1.0
     for _ in range(max_iter):
-        g = _objective_gradient(prog, x)
+        g = metric @ _objective_gradient(prog, x)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             break
@@ -523,50 +530,8 @@ def _polish(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample
     )
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _refine(
-    prog: FractionalProgram,
-    opts: SolverOptions,
-    samples: list[MuSample],
-    mus: np.ndarray,
-) -> None:
-    """Golden-section refinement of the sweep around the incumbent."""
-    best = _select(samples)
-    if best is None:
-        return
-    order = np.searchsorted(mus, best.mu)
-    lo = mus[max(order - 1, 0)] if len(mus) > 1 else prog.mu0
-    hi = mus[min(order + 1, len(mus) - 1)] if len(mus) > 1 else prog.mu_max
-    if hi <= lo:
-        lo, hi = prog.mu0, prog.mu_max
-    target = max(1e-4 * (prog.mu_max - prog.mu0), 1e-8)
-
-    def key_of(mu: float) -> float:
-        sample = _solve_at_mu(prog, float(mu), opts)
-        samples.append(sample)
-        return sample.p0 if sample.p0 is not None else np.inf
-
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = key_of(c), key_of(d)
-    for _ in range(12 * max(opts.refine_rounds, 0)):
-        if b - a <= target:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = key_of(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = key_of(d)
-
-
-def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> float:
-    """min over s in [lo, hi] of max_k (A_k + B_k*s), for K >= 1 lines.
+def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+    """Minimizer s in [lo, hi] and minimum of max_k (A_k + B_k*s), K >= 1 lines.
 
     The envelope is convex and piecewise linear.  When neither end is the
     minimum, a falling line active left of it and a rising line active
@@ -575,7 +540,7 @@ def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> float:
     whose slope sign says which of the two it replaces.  Each step adds a
     line of the envelope, so it takes at most K steps and O(K) each.  Should
     rounding keep it from settling, the last crossing of two lines is
-    returned: it lies below the envelope's minimum.
+    returned with its value there, which lies below the envelope's minimum.
     """
 
     def top(s: float) -> tuple[int, float]:
@@ -585,37 +550,36 @@ def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> float:
 
     left, value = top(lo)
     if B[left] >= 0.0:
-        return value
+        return lo, value
     right, value = top(hi)
     if B[right] <= 0.0:
-        return value
+        return hi, value
     for _ in range(len(A)):
-        s = (A[left] - A[right]) / (B[right] - B[left])
+        s = min(max(float((A[left] - A[right]) / (B[right] - B[left])), lo), hi)
         crossing = float(max(A[left] + B[left] * s, A[right] + B[right] * s))
         k, value = top(s)
         if value <= crossing or B[k] == 0.0:
-            return value
+            return s, value
         if B[k] < 0.0:
             left = k
         else:
             right = k
-    return crossing
+    return s, crossing
 
 
-def _global_lower_bound(prog: FractionalProgram, samples: list[MuSample]) -> float:
-    """Lower bound on the objective over the whole region from solved slices.
+def _global_lower_bound(prog: FractionalProgram, samples: list[MuSample]) -> tuple[float, float]:
+    """Where in s = 1/mu the solved slices' lines bottom out, and the bound there.
 
     At tau = mu*varsigma and s = 1/mu a slice's dual value is A(tau, sigma)
     + (sigma - tau^2/2)*s, and A does not depend on s.  By Fenchel-Young
     (0.5*xi^2 >= varsigma*xi - 0.5*varsigma^2 for every varsigma) that line
     stays below the penalized minimum of every slice, off the box too, as
     long as G is definite there; every final dual point passed Cholesky
-    and the pivot floor, boundary slices included.  -inf when no slice was
-    solved.
+    and the pivot floor, boundary slices included.  So the minimum of the
+    lines' upper envelope over [delta, 1/mu0] is a lower bound on the
+    objective over the whole region.  At least one sample must be solved.
     """
     sols = [s.solution for s in samples if s.solution is not None]
-    if not sols:
-        return -np.inf
     mu = np.array([sol.point.mu for sol in sols])
     tau = mu * np.array([sol.point.varsigma for sol in sols])
     slope = np.array([sol.point.sigma for sol in sols]) - 0.5 * tau * tau
@@ -623,12 +587,35 @@ def _global_lower_bound(prog: FractionalProgram, samples: list[MuSample]) -> flo
     return _envelope_min(intercept, slope, prog.delta, prog.mu0_inv)
 
 
-def _gap_closed(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample]) -> bool:
-    """True when the best feasible value is within tol_gap of the global bound."""
+def _gap_closed(opts: SolverOptions, samples: list[MuSample], lower: float) -> bool:
+    """True when the best feasible value is within tol_gap of the bound `lower`."""
     upper = min((s.p0 for s in samples if s.p0 is not None), default=np.inf)
-    if not np.isfinite(upper):
-        return False
-    return upper - _global_lower_bound(prog, samples) <= opts.tol_gap * (1.0 + abs(upper))
+    return bool(np.isfinite(upper)) and upper - lower <= opts.tol_gap * (1.0 + abs(upper))
+
+
+# Slices _refine may add; no benchmark instance has needed more than 10.
+_MAX_CUTS = 12
+
+
+def _refine(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample]) -> bool:
+    """Kelley's cutting planes on the dual bound D(s), convex in s = 1/mu.
+
+    While the gap is open, solve the slice at the envelope's minimizer s*:
+    when its ascent converges, its line touches D at s*, so the bound
+    rises unless the envelope already meets D there.  A minimizer on a
+    slice already solved adds nothing, since that slice's line is in the
+    envelope: the bound cannot rise, because of a duality gap or an ascent
+    that stopped short, and the loop ends.  Returns whether the gap closed.
+    """
+    for _ in range(_MAX_CUTS):
+        s, lower = _global_lower_bound(prog, samples)
+        if _gap_closed(opts, samples, lower):
+            return True
+        mu = check_mu(prog, 1.0 / s)
+        if any(x.mu == mu for x in samples):
+            return False
+        samples.append(_solve_at_mu(prog, mu, opts))
+    return _gap_closed(opts, samples, _global_lower_bound(prog, samples)[1])
 
 
 def mu_grid(prog: FractionalProgram, grid: int) -> np.ndarray:
@@ -647,8 +634,7 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
     if prog.mu_interval.degenerate:
         return _singleton_result(prog, opts, t0)
 
-    mus = mu_grid(prog, opts.grid)
-    samples = [_solve_at_mu(prog, float(m), opts) for m in mus]
+    samples = [_solve_at_mu(prog, float(m), opts) for m in mu_grid(prog, opts.grid)]
     t_grid = time.perf_counter()
 
     solved = sum(1 for s in samples if s.solution is not None)
@@ -658,12 +644,9 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
             f"no subproblem produced a dual solution over {len(samples)} grid points"
         )
 
-    # Refinement and polish only lower the best feasible value, so neither
-    # runs once that value is within tol_gap of the global lower bound.
-    closed = _gap_closed(prog, opts, samples)
-    if opts.refine_rounds > 0 and not closed:
-        _refine(prog, opts, samples, mus)
-        closed = _gap_closed(prog, opts, samples)
+    # The polish only lowers the best feasible value, so it does not run
+    # once that value is within tol_gap of the global lower bound.
+    closed = _refine(prog, opts, samples)
     t_refine = time.perf_counter()
 
     if not closed:
@@ -687,7 +670,7 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
 
     cert = best.certificate
     dual_best = best.solution.value if best.solution is not None else cert.dual_value
-    lower = _global_lower_bound(prog, samples)
+    _, lower = _global_lower_bound(prog, samples)
     result = SolveResult(
         x_star=np.array(best.x),
         mu_star=best.mu,

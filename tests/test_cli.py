@@ -183,3 +183,29 @@ def test_nonpositive_grid_is_a_usage_error(reference_file, command, grid, capsys
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
     assert not reference_file.with_suffix(".result.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-iter", "0"),
+        ("--max-iter", "-5"),
+        ("--tol-gap", "nan"),
+        ("--tol-gap", "-1"),
+        ("--tol-grad", "inf"),
+        ("--tol-grad", "0"),
+    ],
+)
+def test_invalid_solver_flag_is_a_usage_error(reference_file, command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(reference_file), flag, value])
+    assert exc.value.code == 2
+    assert "expected a positive" in capsys.readouterr().err
+    assert not reference_file.with_suffix(".result.json").exists()
+
+
+def test_refine_rounds_flag_is_gone(reference_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(reference_file), "--refine-rounds", "3"])
+    assert exc.value.code == 2

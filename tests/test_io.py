@@ -130,7 +130,7 @@ class TestParseErrors:
 class TestResultSerialization:
     def test_fields_and_values(self):
         prog = make_reference()
-        result = fd.solve(prog, fd.SolverOptions(grid=12, refine_rounds=1))
+        result = fd.solve(prog, fd.SolverOptions(grid=12))
         text = fd.serialize_result(result)
         data = json.loads(text)
         assert set(data) == {
@@ -143,14 +143,16 @@ class TestResultSerialization:
         assert data["primal_value"] == result.P0_value
         assert data["global_lower_bound"] == result.global_lower_bound
         assert data["global_gap"] == result.global_gap
-        assert data["solver_options"]["grid"] == 12
+        assert data["solver_options"] == {
+            "grid": 12, "max_iter": 500, "tol_grad": 1e-8, "tol_gap": 1e-6, "seed": 0,
+        }
         assert len(data["mu_profile"]) == len(result.mu_profile)
         entry = data["mu_profile"][0]
         assert set(entry) == {"mu", "dual_value", "certificate", "status"}
         assert data["timings"]["total_s"] >= 0.0
 
     def test_uncertified_result_serializes(self):
-        result = fd.solve(make_gap_case(), fd.SolverOptions(grid=12, refine_rounds=1))
+        result = fd.solve(make_gap_case(), fd.SolverOptions(grid=12))
         data = json.loads(fd.serialize_result(result))
         assert data["certificate_kind"] == "None"
         assert all(

@@ -36,12 +36,23 @@ def test_reference_minimum(reference):
 
 
 def test_singleton_region(reference):
-    # the region degenerates to one point; the feasibility slack admits a
-    # sqrt-sized neighborhood of it, so expect cross-check accuracy only
+    # the region degenerates to one point, which the grid may miss; the
+    # margin-peak fallback still reports a finite value there
     prog = make_reference(delta=1.0)
     report = fd.grid_minimize_objective(prog)
     assert report.min_value == pytest.approx(1.125, abs=1e-4)
     assert report.argmin[0] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_minimum_does_not_undercut_the_solver_bound():
+    # the minimizer is on the boundary; grid points that the feasibility
+    # slack would admit just outside the region lie below the true minimum
+    prog = fd.generate_program(1, 0, seed=544)
+    lower = fd.solve(prog).global_lower_bound
+    report = fd.grid_minimize_objective(prog)
+    assert report.min_value >= lower - 1e-12 * (1.0 + abs(lower))
+    assert fd.eval_terms(prog, report.argmin)[2] >= prog.delta
+    assert fd.eval_objective(prog, report.argmin) == report.min_value
 
 
 def test_subproblem_minima(reference):

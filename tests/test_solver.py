@@ -16,7 +16,6 @@ from fracdual.solver import (
     DualSolution,
     _ascent_direction,
     _envelope_min,
-    _snap_to_margin,
     _weak_duality_floor,
 )
 
@@ -223,6 +222,8 @@ class TestSolve:
         assert res.mu_profile[0].status_label == "DirectSingleton"
         assert res.global_lower_bound == res.P0_value
         assert res.global_gap == 0.0
+        # the same timing keys as a swept solve, whichever path ran
+        assert set(res.timings) == {"total_s", "grid_s", "refine_s", "polish_s"}
 
     def test_interior_optimum_prefers_smallest_parameter(self):
         # every subproblem certifies the same interior point, so the
@@ -249,11 +250,11 @@ class TestSolve:
         assert "NearPDBoundary" in labels
 
     def test_profile_and_options_recorded(self, reference):
-        opts = fd.SolverOptions(grid=16, refine_rounds=1)
+        opts = fd.SolverOptions(grid=16)
         res = fd.solve(reference, opts)
         assert res.options == opts
         assert len(res.mu_profile) >= 16
-        assert set(res.timings) >= {"grid_s", "refine_s", "total_s"}
+        assert set(res.timings) == {"total_s", "grid_s", "refine_s", "polish_s"}
 
     def test_weak_duality_violation_is_a_fracdual_error(self, reference):
         res = fd.solve(reference)
@@ -331,7 +332,10 @@ class TestGlobalBound:
                 A[1], B[1] = A[0], B[0]  # a repeated line
             lo, hi = np.sort(rng.normal(size=2))
             want = _brute_envelope_min(A, B, lo, hi)
-            assert _envelope_min(A, B, lo, hi) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            s, value = _envelope_min(A, B, lo, hi)
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert lo <= s <= hi
+            assert (A + B * s).max() == pytest.approx(value, rel=1e-12, abs=1e-12)
 
     def test_reference_closes_without_polish(self, reference):
         res = fd.solve(reference)
@@ -347,6 +351,18 @@ class TestGlobalBound:
         assert res.global_gap == res.P0_value - res.global_lower_bound
         assert abs(res.global_gap) <= 1e-6 * (1.0 + abs(res.P0_value))
         assert res.global_lower_bound <= GAP_CASE_MIN + 1e-9
+
+    def test_polish_reaches_the_boundary_minimum_of_a_duality_gap(self):
+        # the slices' lines cannot close this instance's duality gap; the
+        # polish, stepping in the metric of -H, descends to a KKT point on
+        # the boundary (the SLSQP local minimum 0.125925)
+        res = fd.solve(fd.generate_program(5, 2, seed=1006))
+        assert res.P0_value <= 0.1259250
+
+    def test_polish_is_not_stalled_by_ill_conditioning(self):
+        # at conditioning 1e6 a plain gradient step creeps along the shell
+        prog = fd.generate_program(4, 3, seed=2031, conditioning=1e6)
+        assert fd.solve(prog).P0_value <= 2.0223520
 
     @pytest.mark.parametrize("seed", [1027, 1028, 1033, 1034])
     def test_bound_survives_exact_arithmetic(self, seed):
@@ -368,13 +384,9 @@ class TestGlobalBound:
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 10_000))
 def test_global_bound_is_below_the_minimum(n, m, seed):
     prog = fd.generate_program(n, m, seed=seed)
-    res = fd.solve(prog, fd.SolverOptions(grid=12, refine_rounds=1))
+    res = fd.solve(prog, fd.SolverOptions(grid=12))
     assert res.global_lower_bound <= res.P0_value + 1e-12 * (1.0 + abs(res.P0_value))
-    # the oracle admits points up to the feasibility slack outside the
-    # region, so its own minimum can undercut the true one by a few 1e-9;
-    # its point pulled radially inside bounds the minimum from above
-    inside = _snap_to_margin(prog, fd.grid_minimize_objective(prog).argmin, prog.delta)
-    reference = fd.eval_objective(prog, inside)
+    reference = fd.grid_minimize_objective(prog).min_value
     assert res.global_lower_bound <= reference + 1e-12 * (1.0 + abs(reference))
 
 
@@ -402,7 +414,7 @@ class TestProbes:
 @given(st.integers(0, 300))
 def test_solve_output_is_feasible_and_above_dual(seed):
     prog = fd.generate_program(1 + seed % 3, seed % 3, seed=seed)
-    res = fd.solve(prog, fd.SolverOptions(grid=12, refine_rounds=1))
+    res = fd.solve(prog, fd.SolverOptions(grid=12))
     assert fd.is_feasible(prog, res.x_star)
     assert res.P0_value == pytest.approx(fd.eval_objective(prog, res.x_star), rel=1e-12)
     if res.certificate.kind is CertificateKind.PERFECT:
@@ -418,7 +430,7 @@ def test_solve_output_is_feasible_and_above_dual(seed):
 @given(st.integers(0, 300))
 def test_solution_no_worse_than_profile_candidates(seed):
     prog = fd.generate_program(1 + seed % 3, seed % 3, seed=seed)
-    res = fd.solve(prog, fd.SolverOptions(grid=12, refine_rounds=1))
+    res = fd.solve(prog, fd.SolverOptions(grid=12))
     for sample in res.mu_profile:
         if sample.p0 is not None:
             assert res.P0_value <= sample.p0 + 1e-9 * (1.0 + abs(sample.p0))
