@@ -6,13 +6,15 @@ Solves each instance of the three benchmark workloads (`mixed`, `large-n`,
 prints, as float hex:
 
     per instance: P0, x_star, the certificate kind and the global lower
-                  bound;
+                  bound, then the sha256 of the canonical instance text and
+                  of the result text with its `timings` values zeroed;
     per slice:    mu, note, P0 of its candidate, n_iter, status,
                   value_trace, the final dual point, min_pivot and the
                   slice's certificate kind.
 
 The last line is the sha256 of everything before it.  Two outputs that
-`diff` clean mean two versions of the solver are bit-identical there.
+`diff` clean mean two versions of the solver are bit-identical there, and
+that their instance and result files are byte-identical.
 
     python3 scripts/answer_digest.py --base 1000 > digest_1000.txt
     python3 scripts/answer_digest.py --root ../other-checkout --base 1000
@@ -50,6 +52,10 @@ def _hex(values) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _kind(cert) -> str:
     return "-" if cert is None else cert.kind.value
 
@@ -60,6 +66,9 @@ def instance_lines(fd, name: str, seed: int, text: str):
     yield (f"{name} {seed} P0 {float(res.P0_value).hex()} "
            f"cert {_kind(res.certificate)} x {_hex(res.x_star)} "
            f"lb {float(res.global_lower_bound).hex()}")
+    payload = fd.result_payload(res)
+    payload["timings"] = dict.fromkeys(payload["timings"], 0.0)
+    yield f"  text {_sha256(text)} result {_sha256(fd.canonical_text(payload))}"
     for s in res.mu_profile:
         p0 = "-" if s.p0 is None else float(s.p0).hex()
         head = f"  mu {float(s.mu).hex()} note {s.note or '-'} p0 {p0} cert {_kind(s.certificate)}"

@@ -59,6 +59,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _conditioning(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 1.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 1, got {text!r}")
+    return value
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=_positive_int, default=64, help="parameter sweep resolution")
     p.add_argument("--max-iter", type=_positive_int, default=500, help="ascent iteration cap")
@@ -202,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check the solver against the grid reference")
     p_verify.add_argument("instance", help="instance file path (dimension 3 at most)")
     p_verify.add_argument(
-        "--resolution", type=float, default=None, help="reference grid spacing override"
+        "--resolution", type=_positive_float, default=None,
+        help="reference grid spacing override",
     )
     _add_solver_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -212,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int, default=1, help="coupling matrix row count")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
-        "--conditioning", type=float, default=1.0, help="curvature spread factor (>= 1)"
+        "--conditioning", type=_conditioning, default=1.0,
+        help="curvature spread factor (finite, >= 1)",
     )
     p_gen.add_argument("--output", help="write here instead of stdout")
     p_gen.set_defaults(func=cmd_gen)

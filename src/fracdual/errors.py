@@ -79,4 +79,4 @@ class ParseError(FracdualError):
 
 
 class GenerationError(FracdualError):
-    """Random instance generation exhausted its rejection budget."""
+    """Random instance generation got bad arguments or exhausted its rejection budget."""

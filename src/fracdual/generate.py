@@ -21,8 +21,8 @@ def generate_program(n: int, m: int, seed: int, conditioning: float = 1.0) -> Fr
     """
     if n < 1 or m < 0:
         raise GenerationError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    if conditioning < 1.0:
-        raise GenerationError(f"conditioning must be >= 1, got {conditioning}")
+    if not 1.0 <= conditioning < np.inf:  # also rejects nan
+        raise GenerationError(f"conditioning must be finite and >= 1, got {conditioning}")
     rng = np.random.default_rng(seed)
 
     Q = rng.uniform(-1.0, 1.0, (n, n))

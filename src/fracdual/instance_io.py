@@ -4,6 +4,11 @@ The on-disk format is a JSON-compatible key-value tree written canonically:
 keys sorted, floats at 17 significant digits (enough to round-trip a double
 bit-for-bit), scalar arrays inline.  parse(serialize(p)) reproduces every
 field exactly and serialize(parse(text)) reproduces the canonical text.
+
+The text itself is the format contract: a writer must reproduce it byte
+for byte.  A flat array of Python floats (every matrix and vector of an
+instance or result) is checked and written in one call instead of element
+by element, and prints each element exactly as the per-element path does.
 """
 
 from __future__ import annotations
@@ -26,6 +31,13 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _fmt_floats(values) -> str:
+    """Python floats printed as `_fmt_float` prints each one, in one `%` call."""
+    if not all(map(math.isfinite, values)):
+        _fmt_float(next(v for v in values if not math.isfinite(v)))  # raises
+    return ", ".join(["%.17g"] * len(values)) % tuple(values)
+
+
 def _emit(value, pad: str) -> str:
     if isinstance(value, dict):
         inner = pad + "  "
@@ -34,6 +46,8 @@ def _emit(value, pad: str) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {float}:
+            return "[" + _fmt_floats(value) + "]"
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
             return "[" + ", ".join(_emit(v, pad) for v in value) + "]"
         inner = pad + "  "
@@ -62,13 +76,13 @@ def instance_payload(prog: FractionalProgram) -> dict:
         "schema_version": SCHEMA_VERSION,
         "n": prog.n,
         "m": prog.m,
-        "Q": [float(v) for v in prog.Q.ravel()],
-        "f": [float(v) for v in prog.f_vec],
-        "B": [float(v) for v in prog.B.ravel()],
+        "Q": prog.Q.ravel().tolist(),
+        "f": prog.f_vec.tolist(),
+        "B": prog.B.ravel().tolist(),
         "lambda": float(prog.lam),
         "delta": float(prog.delta),
-        "H": [float(v) for v in prog.H.ravel()],
-        "b": [float(v) for v in prog.b_vec],
+        "H": prog.H.ravel().tolist(),
+        "b": prog.b_vec.tolist(),
     }
 
 
@@ -98,9 +112,8 @@ def _real_field(data: dict, field: str) -> float:
 
 def _array_field(data: dict, field: str, length: int) -> np.ndarray:
     v = _need(data, field)
-    if not isinstance(v, list) or any(
-        isinstance(e, bool) or not isinstance(e, (int, float)) for e in v
-    ):
+    # exact types, so that true/false (bool, a subclass of int) are refused
+    if not isinstance(v, list) or not set(map(type, v)) <= {int, float}:
         raise ParseError(f"field '{field}': expected an array of numbers", field=field)
     if len(v) != length:
         raise ParseError(
@@ -158,7 +171,7 @@ def result_payload(result: SolveResult) -> dict:
         for s in result.mu_profile
     ]
     return {
-        "x_star": [float(v) for v in result.x_star],
+        "x_star": result.x_star.tolist(),
         "mu_star": float(result.mu_star),
         "varsigma": float(result.d_star.varsigma),
         "sigma": float(result.d_star.sigma),

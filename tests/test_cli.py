@@ -185,6 +185,24 @@ def test_nonpositive_grid_is_a_usage_error(reference_file, command, grid, capsys
     assert not reference_file.with_suffix(".result.json").exists()
 
 
+@pytest.mark.parametrize("resolution", ["0", "nan", "-1", "inf"])
+def test_bad_resolution_is_a_usage_error(reference_file, resolution, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(reference_file), "--resolution", resolution])
+    assert exc.value.code == 2
+    assert "positive finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("conditioning", ["nan", "inf", "0.5", "x"])
+def test_bad_conditioning_is_a_usage_error(conditioning, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "2", "--conditioning", conditioning])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert ">= 1" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
 @pytest.mark.parametrize(
     "flag, value",

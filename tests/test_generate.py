@@ -52,3 +52,9 @@ def test_bad_arguments():
         fd.generate_program(0, 1, seed=0)
     with pytest.raises(fd.GenerationError):
         fd.generate_program(2, -1, seed=0)
+
+
+@pytest.mark.parametrize("conditioning", [float("nan"), float("inf"), 0.5])
+def test_conditioning_must_be_finite_and_at_least_one(conditioning):
+    with pytest.raises(fd.GenerationError, match="conditioning"):
+        fd.generate_program(3, 1, seed=5, conditioning=conditioning)

@@ -106,6 +106,14 @@ class TestParseErrors:
         with pytest.raises(fd.ParseError, match="'n'"):
             fd.parse_instance(self.emit(payload))
 
+    @pytest.mark.parametrize("bad", [True, None, "1.0", [1.0]])
+    def test_non_number_array_element(self, bad):
+        payload = self.base()
+        payload["f"] = [bad]
+        with pytest.raises(fd.ParseError, match="'f'") as exc:
+            fd.parse_instance(json.dumps(payload))
+        assert exc.value.field == "f"
+
     def test_bad_schema_version(self):
         payload = self.base()
         payload["schema_version"] = 99
@@ -171,3 +179,27 @@ def test_float_text_round_trips_exactly(a, b):
     data = json.loads(fd.canonical_text(payload))
     assert data["a"] == a
     assert data["b"] == b
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+def test_float_array_matches_per_element_text(vals):
+    expected = '{\n  "a": [' + ", ".join("%.17g" % v for v in vals) + "]\n}\n"
+    assert fd.canonical_text({"a": vals}) == expected
+
+
+@pytest.mark.parametrize(
+    "vals, text",
+    [
+        ([1, 2, 3], "[1, 2, 3]"),
+        ([1, 2.5, -0.0, 10**20], "[1, 2.5, -0, 100000000000000000000]"),
+        ([np.float64(0.1), 1.0], "[0.10000000000000001, 1]"),
+        ([True, None, 1.5], "[true, null, 1.5]"),
+    ],
+)
+def test_other_scalar_arrays_keep_per_element_text(vals, text):
+    assert fd.canonical_text({"a": vals}) == '{\n  "a": ' + text + "\n}\n"
+
+
+def test_non_finite_array_element_is_refused():
+    with pytest.raises(ValueError, match="nan"):
+        fd.canonical_text({"a": [1.0, float("nan")]})
