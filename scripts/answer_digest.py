@@ -31,7 +31,9 @@ meant to be bit-identical is checked against an earlier digest instead:
 prints, instead of the digest, every instance whose certificate kind
 changed or whose P0 rose by more than tol_gap*(1+|P0|) (tol_gap is the
 default `SolverOptions().tol_gap`), or that only one of the two solved, then
-how many instances end with P0 - LB <= tol_gap*(1+|P0|) on each side.
+how many instances end with P0 - LB <= tol_gap*(1+|P0|) on each side, and
+per workload each side's ascent iterations (summed n_iter over all slices)
+and iteration-capped slices (n_iter equal to the default `max_iter`).
 It exits 1 when it listed any instance.
 """
 
@@ -92,7 +94,24 @@ def _instances(lines) -> dict:
     return table
 
 
-def against(old_lines, new_lines, tol_gap: float) -> int:
+def _iterations(lines, max_iter: int) -> dict:
+    """workload -> [ascent iterations, iteration-capped slices] of a digest."""
+    table = {}
+    for line in lines:
+        tok = line.split()
+        if not tok or tok[0] == "sha256":
+            continue
+        if not line.startswith(" "):
+            counts = table.setdefault(tok[0], [0, 0])
+        elif "n_iter" in tok:
+            n_iter = int(tok[tok.index("n_iter") + 1])
+            counts[0] += n_iter
+            counts[1] += n_iter == max_iter
+    return table
+
+
+def against(old_lines, new_lines, opts) -> int:
+    tol_gap = opts.tol_gap
     new = _instances(new_lines)
     names = {name for name, _ in new}
     old = {key: v for key, v in _instances(old_lines).items() if key[0] in names}
@@ -116,6 +135,11 @@ def against(old_lines, new_lines, tol_gap: float) -> int:
             listed += 1
     print(f"gap closed: DIGEST {sum(closed(p, lb) for p, _, lb in old.values())} of {len(old)}, "
           f"this run {sum(closed(p, lb) for p, _, lb in new.values())} of {len(new)}")
+    old_iters = _iterations(old_lines, opts.max_iter)
+    for name, (iters, capped) in sorted(_iterations(new_lines, opts.max_iter).items()):
+        was_iters, was_capped = old_iters.get(name, ("-", "-"))
+        print(f"{name}: ascent iterations DIGEST {was_iters}, this run {iters}; "
+              f"iteration-capped slices DIGEST {was_capped}, this run {capped}")
     print(f"listed: {listed}")
     return 1 if listed else 0
 
@@ -139,7 +163,7 @@ def main(argv=None) -> int:
              for seed, text in WORKLOADS[name].texts(args.base)
              for line in instance_lines(fd, name, seed, text)]
     if args.against is not None:
-        return against(args.against.read_text().splitlines(), lines, fd.SolverOptions().tol_gap)
+        return against(args.against.read_text().splitlines(), lines, fd.SolverOptions())
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode() + b"\n")

@@ -15,10 +15,13 @@ candidate x(d) = G^{-1}c.  Interior critical points close the gap exactly.
 
 B'B has rank m <= 3, so the instance does not store it: each
 factorization forms it from B once and carries it to `evaluate_dual`.
-Solves with the Cholesky factor call LAPACK directly, through the
-`potrs` and `trtrs` handles bound once at import, with the arguments
-scipy's `cho_solve` and `solve_triangular` would pass; at n <= 8 their
-per-call checks cost several times the solve itself.
+Solves with the Cholesky factor call LAPACK directly, through `potrs` and
+`trtrs` handles, with the arguments scipy's `cho_solve` and
+`solve_triangular` would pass; at n <= 8 their per-call checks cost several
+times the solve itself.  The handles are bound once, by the first positive
+definite factorization, the first factor that can be solved with: importing
+scipy.linalg is most of the cost of importing this package, and paths that
+never solve (generating, parsing, serializing) need not pay it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NotPDError
 from .problem import FractionalProgram, gram, pivot_floor
@@ -40,7 +42,15 @@ BOX_TOL = 1e-12
 # well below the pivot floor.
 INERTIA_RTOL = 1e-12
 
-_potrs, _trtrs = get_lapack_funcs(("potrs", "trtrs"), dtype=np.float64)
+# LAPACK handles, bound by _bind_lapack on the first definite factorization
+_potrs = _trtrs = None
+
+
+def _bind_lapack() -> None:
+    global _potrs, _trtrs
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    _potrs, _trtrs = get_lapack_funcs(("potrs", "trtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +137,8 @@ def curvature_matrix(prog: FractionalProgram, point: DualPoint) -> CurvatureFact
     min_pivot = root * root
     if min_pivot <= pivot_floor(diag_scale):
         return CurvatureFactor(G, None, False, min_pivot, diag_scale, btb)
+    if _potrs is None:
+        _bind_lapack()
     return CurvatureFactor(G, chol, True, min_pivot, diag_scale, btb)
 
 

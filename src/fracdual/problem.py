@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     DeltaOutOfRangeError,
@@ -99,6 +98,8 @@ class FractionalProgram:
         With V'(-H)V = I and V'QV = diag(w), the curvature matrix
         Q + tau B'B - sigma H is congruent to diag(w + sigma) + tau U'U.
         """
+        from scipy.linalg import eigh  # on first use: paths that never solve skip its import
+
         w, V = eigh(self.Q, -self.H)
         return _freeze(w), _freeze(self.B @ V)
 

@@ -9,9 +9,15 @@ only trials not proven indefinite are factorized.  Each factorization forms
 B'B from B (the instance does not store it), and its solves call LAPACK's
 `potrs` and `trtrs` directly through the handles bound in dual.py, so an
 ascent step at small n costs its arithmetic, not scipy's per-call checks.
-A converged point is turned into a certificate by recomputing the primal-dual
-gap, the stationarity of the canonical measure, and boundary
-complementarity.
+At an ill-conditioned iterate the dual value is only known to a few ulps,
+so there a step must rise by more than 4 eps (1 + |value|): the line search
+stops at the first trial whose predicted rise grad.move is below that
+floor, which by concavity bounds its real rise, and when neither the
+Newton nor the gradient step clears it the ascent ends instead of creeping
+along the cone edge by rounding noise.  Well-conditioned iterates accept
+any rise.  A converged point is turned into a certificate by recomputing
+the primal-dual gap, the stationarity of the canonical measure, and
+boundary complementarity.
 
 The outer solve scans a uniform grid over [mu0, 1/delta] and returns the
 best feasible candidate.  Every solved slice also bounds the global
@@ -194,6 +200,11 @@ def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -
 
 _HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
 
+# The dual value is a sum of a few terms of about its own size, each rounded
+# once, so at an ill-conditioned iterate a rise below this many ulps of
+# 1 + |value| may be rounding alone.
+_NOISE_ULPS = 4.0 * np.finfo(float).eps
+
 
 def _try_step(
     prog: FractionalProgram,
@@ -203,18 +214,23 @@ def _try_step(
     grad: np.ndarray,
     value: float,
     lo: np.ndarray,
+    min_rise: float,
 ):
     """Backtrack from the full step by halving until the dual rises enough.
 
-    Trials stop at the first one that no longer moves.  After the first trial
-    found outside the cone, the remaining trials are screened in one batch
-    by inertia, and those proven indefinite are not factorized; Cholesky
-    still decides every trial that could be accepted.
+    A step is accepted only when the value rises by more than `min_rise`.
+    With min_rise = 0 trials stop at the first one that no longer moves;
+    with min_rise > 0 they stop at the first one whose predicted rise
+    grad.move is at most min_rise, since by concavity its value rises by
+    no more than that.  After the first trial found outside the cone, the
+    remaining trials are screened in one batch by inertia, and those proven
+    indefinite are not factorized; Cholesky still decides every trial that
+    could be accepted.
     """
     trials = np.maximum(d + _HALVINGS * step, lo)
     moves = trials - d
-    moving = moves.any(axis=1)
-    count = len(trials) if moving.all() else int(moving.argmin())
+    rising = moves @ grad > min_rise if min_rise > 0.0 else moves.any(axis=1)
+    count = len(trials) if rising.all() else int(rising.argmin())
     skip = None
     for k in range(count):
         if skip is not None and skip[k]:
@@ -223,7 +239,7 @@ def _try_step(
         fac = curvature_matrix(prog, point)
         if fac.pd:
             ev = evaluate_dual(prog, point, fac=fac)
-            if ev.value > value and ev.value >= value + 1e-4 * (grad @ moves[k]):
+            if ev.value > value + min_rise and ev.value >= value + 1e-4 * (grad @ moves[k]):
                 return trials[k], ev
         elif skip is None:
             skip = provably_indefinite(prog, mu * trials[:count, 0], trials[:count, 1])
@@ -267,10 +283,12 @@ def maximize_dual(
         converged = pg_norm <= opts.tol_grad * (1.0 + abs(ev.value))
         if converged:
             break
+        # at an ill-conditioned iterate, rises within rounding are not progress
+        min_rise = _NOISE_ULPS * (1.0 + abs(ev.value)) if ev.ill_conditioned else 0.0
         step = _ascent_direction(ev.hessian, pg, ~clamped)
-        moved = _try_step(prog, mu, d, step, grad, ev.value, lo)
+        moved = _try_step(prog, mu, d, step, grad, ev.value, lo, min_rise)
         if moved is None and (step != pg).any():
-            moved = _try_step(prog, mu, d, pg, grad, ev.value, lo)
+            moved = _try_step(prog, mu, d, pg, grad, ev.value, lo, min_rise)
         if moved is None:
             break
         d, ev = moved

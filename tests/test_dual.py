@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,32 @@ class TestLapackSolves:
             fac.solve(rhs)
         with pytest.raises(ValueError):
             fac.half_solve(rhs)
+
+
+_LAZY_SCIPY = """
+import sys
+import fracdual as fd
+text = fd.serialize_instance(fd.generate_program(4, 2, seed=1021))
+prog = fd.parse_instance(text)
+print("scipy.linalg" in sys.modules)
+payload = fd.result_payload(fd.solve(prog))
+payload["timings"] = dict.fromkeys(payload["timings"], 0.0)
+print(fd.canonical_text(payload), end="")
+"""
+
+
+def test_scipy_is_imported_by_the_first_solve():
+    # generating, serializing and parsing never solve, so they must not pay
+    # for importing scipy.linalg; the lazily bound solve must not change
+    src = str(Path(fd.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], capture_output=True,
+                          text=True, check=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    loaded, text = done.stdout.split("\n", 1)
+    assert loaded == "False"
+    payload = fd.result_payload(fd.solve(fd.generate_program(4, 2, seed=1021)))
+    payload["timings"] = dict.fromkeys(payload["timings"], 0.0)
+    assert text == fd.canonical_text(payload)
 
 
 class TestConeMembership:

@@ -169,6 +169,71 @@ def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
         np.testing.assert_array_equal(a.value_trace, b.value_trace)
 
 
+class TestNoiseFloor:
+    # ROADMAP item 2's slice: ill-conditioned seed 1034 at this mu
+    MU = 9.324556139645209
+
+    @staticmethod
+    def _prog():
+        return fd.generate_program(3, 2, seed=1034, conditioning=1e6)
+
+    def _line_search(self):
+        """A gradient line search from the slice's start: its trials and gains."""
+        prog = self._prog()
+        start = fd.find_start(prog, self.MU)
+        ev = fd.evaluate_dual(prog, start)
+        grad = np.array([ev.grad_varsigma, ev.grad_sigma])
+        d, lo = start.as_array(), solver._bounds(prog)
+        trials = np.maximum(d + solver._HALVINGS * grad, lo)
+        return prog, d, ev, grad, lo, trials, (trials - d) @ grad
+
+    def test_ill_conditioned_slice_stops_short_of_the_cap(self):
+        # without the floor this slice accepts ulp-sized rises until the cap
+        sol = fd.maximize_dual(self._prog(), self.MU)
+        assert sol.n_iter < fd.SolverOptions().max_iter
+        assert sol.status is AscentStatus.NEAR_PD_BOUNDARY
+        assert sol.value >= -0.24842520097535334
+
+    @pytest.mark.parametrize("cut", [0, 1, 5, 30])
+    def test_no_trial_past_the_floor_is_factorized(self, cut, monkeypatch):
+        prog, d, ev, grad, lo, trials, gains = self._line_search()
+        min_rise = float(gains[cut])
+        first = int(np.argmax(gains <= min_rise))
+        cholesky = solver.curvature_matrix
+        factorized = []
+
+        def counted(prog, point):
+            factorized.append(point.as_array())
+            return cholesky(prog, point)
+
+        monkeypatch.setattr(solver, "curvature_matrix", counted)
+        # an unreachable target rejects every trial the floor lets through
+        unreachable = ev.value + 2.0 * float(gains[0])
+        assert solver._try_step(prog, self.MU, d, grad, grad, unreachable, lo, min_rise) is None
+        seen = [int(np.flatnonzero((trials == p).all(axis=1))[0]) for p in factorized]
+        assert max(seen, default=-1) < first
+        factorized.clear()
+        solver._try_step(prog, self.MU, d, grad, grad, unreachable, lo, 0.0)
+        assert len(factorized) > first  # without the floor the search goes on
+
+    def test_rises_within_the_floor_are_rejected(self, monkeypatch):
+        # a trial whose value rises by half the floor passes the Armijo
+        # test, so only the floor rejects it
+        prog, d, ev, grad, lo, _, gains = self._line_search()
+        min_rise = float(gains[5])
+        evaluate = solver.evaluate_dual
+
+        def barely_rising(prog, point, fac=None):
+            return dataclasses.replace(
+                evaluate(prog, point, fac=fac), value=ev.value + 0.5 * min_rise
+            )
+
+        monkeypatch.setattr(solver, "evaluate_dual", barely_rising)
+        assert solver._try_step(prog, self.MU, d, grad, grad, ev.value, lo, min_rise) is None
+        moved = solver._try_step(prog, self.MU, d, grad, grad, ev.value, lo, 0.0)
+        assert moved is not None and moved[1].value - ev.value <= min_rise
+
+
 class TestCertify:
     def test_weak_only_at_noncritical_feasible_point(self):
         prog = make_interior_optimum()
