@@ -32,8 +32,10 @@ prints, instead of the digest, every instance whose certificate kind
 changed or whose P0 rose by more than tol_gap*(1+|P0|) (tol_gap is the
 default `SolverOptions().tol_gap`), or that only one of the two solved, then
 how many instances end with P0 - LB <= tol_gap*(1+|P0|) on each side, and
-per workload each side's ascent iterations (summed n_iter over all slices)
-and iteration-capped slices (n_iter equal to the default `max_iter`).
+per workload each side's ascent iterations (summed n_iter over all slices),
+iteration-capped slices (n_iter equal to the default `max_iter`) and
+stalled slices (status MaxIterations with n_iter below it, perfbench's
+`solver.stalled_slices`).
 It exits 1 when it listed any instance.
 """
 
@@ -95,18 +97,19 @@ def _instances(lines) -> dict:
 
 
 def _iterations(lines, max_iter: int) -> dict:
-    """workload -> [ascent iterations, iteration-capped slices] of a digest."""
+    """workload -> [ascent iterations, capped slices, stalled slices] of a digest."""
     table = {}
     for line in lines:
         tok = line.split()
         if not tok or tok[0] == "sha256":
             continue
         if not line.startswith(" "):
-            counts = table.setdefault(tok[0], [0, 0])
+            counts = table.setdefault(tok[0], [0, 0, 0])
         elif "n_iter" in tok:
             n_iter = int(tok[tok.index("n_iter") + 1])
             counts[0] += n_iter
             counts[1] += n_iter == max_iter
+            counts[2] += n_iter < max_iter and tok[tok.index("status") + 1] == "MaxIterations"
     return table
 
 
@@ -136,10 +139,11 @@ def against(old_lines, new_lines, opts) -> int:
     print(f"gap closed: DIGEST {sum(closed(p, lb) for p, _, lb in old.values())} of {len(old)}, "
           f"this run {sum(closed(p, lb) for p, _, lb in new.values())} of {len(new)}")
     old_iters = _iterations(old_lines, opts.max_iter)
-    for name, (iters, capped) in sorted(_iterations(new_lines, opts.max_iter).items()):
-        was_iters, was_capped = old_iters.get(name, ("-", "-"))
+    for name, (iters, capped, stalled) in sorted(_iterations(new_lines, opts.max_iter).items()):
+        was_iters, was_capped, was_stalled = old_iters.get(name, ("-", "-", "-"))
         print(f"{name}: ascent iterations DIGEST {was_iters}, this run {iters}; "
-              f"iteration-capped slices DIGEST {was_capped}, this run {capped}")
+              f"iteration-capped slices DIGEST {was_capped}, this run {capped}; "
+              f"stalled slices DIGEST {was_stalled}, this run {stalled}")
     print(f"listed: {listed}")
     return 1 if listed else 0
 

@@ -13,15 +13,21 @@ On the cone where G is positive definite the dual function
 is concave, bounds the subproblem from below, and recovers the primal
 candidate x(d) = G^{-1}c.  Interior critical points close the gap exactly.
 
+Every quantity comes from four triangular solves with the one Cholesky
+factor G = LL': z = L^{-1}c gives the value, x = L^{-T}z the primal, and
+L^{-1}B'(Bx) and L^{-1}(Hx - b) the Hessian.  x is not refined: Cholesky
+is backward stable, a refinement step in working precision does not
+improve its forward error, and every certificate re-checks x a posteriori.
+
 B'B has rank m <= 3, so the instance does not store it: each
-factorization forms it from B once and carries it to `evaluate_dual`.
-Solves with the Cholesky factor call LAPACK directly, through `potrs` and
-`trtrs` handles, with the arguments scipy's `cho_solve` and
-`solve_triangular` would pass; at n <= 8 their per-call checks cost several
-times the solve itself.  The handles are bound once, by the first positive
-definite factorization, the first factor that can be solved with: importing
-scipy.linalg is most of the cost of importing this package, and paths that
-never solve (generating, parsing, serializing) need not pay it.
+factorization forms it from B once to assemble G, and the evaluation
+applies it as B'(Bx).  The solves call LAPACK's `trtrs` directly, with
+the arguments scipy's `solve_triangular` would pass; at n <= 8 its
+per-call checks cost several times the solve itself.  The handle is bound
+once, by the first positive definite factorization, the first factor that
+can be solved with: importing scipy.linalg is most of the cost of
+importing this package, and paths that never solve (generating, parsing,
+serializing) need not pay it.
 """
 
 from __future__ import annotations
@@ -42,15 +48,15 @@ BOX_TOL = 1e-12
 # well below the pivot floor.
 INERTIA_RTOL = 1e-12
 
-# LAPACK handles, bound by _bind_lapack on the first definite factorization
-_potrs = _trtrs = None
+# LAPACK trtrs, bound by _bind_lapack on the first definite factorization
+_trtrs = None
 
 
 def _bind_lapack() -> None:
-    global _potrs, _trtrs
+    global _trtrs
     from scipy.linalg.lapack import get_lapack_funcs
 
-    _potrs, _trtrs = get_lapack_funcs(("potrs", "trtrs"), dtype=np.float64)
+    _trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +73,13 @@ class DualPoint:
 class CurvatureFactor:
     """Assembled curvature matrix with its Cholesky factor when definite.
 
-    chol is the C-ordered lower factor L, G = LL'.  btb is the B'B that G
-    was assembled from.  min_pivot is the smallest squared Cholesky pivot.
-    It is -inf when Cholesky met a non-positive pivot; that pivot's value
-    is not computed.  A factor rejected by the pivot floor keeps its real
-    (tiny) pivot.
+    chol is the C-ordered lower factor L, G = LL'.  min_pivot is the
+    smallest squared Cholesky pivot.  It is -inf when Cholesky met a
+    non-positive pivot; that pivot's value is not computed.  A factor
+    rejected by the pivot floor keeps its real (tiny) pivot.
+
+    The solves hand the C-ordered L to LAPACK as the Fortran-ordered L',
+    as scipy's solve_triangular(chol, rhs, lower=True, ...) does.
     """
 
     matrix: np.ndarray
@@ -79,26 +87,21 @@ class CurvatureFactor:
     pd: bool
     min_pivot: float
     diag_scale: float
-    btb: np.ndarray
 
     @property
     def ill_conditioned(self) -> bool:
         return self.min_pivot <= ILL_CONDITIONED_RTOL * (1.0 + self.diag_scale)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """G^{-1} rhs, as scipy's cho_solve((chol, True), rhs) computes it."""
-        x, info = _potrs(self.chol, rhs, lower=1)
-        if info:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-        return x
-
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """L^{-1} rhs, so that |half_solve(c)|^2 = c'G^{-1}c.
+        """L^{-1} rhs, so that |half_solve(c)|^2 = c'G^{-1}c."""
+        return self._tri_solve(rhs, trans=1)
 
-        As scipy's solve_triangular(chol, rhs, lower=True) computes it: the
-        C-ordered L is handed to LAPACK as the Fortran-ordered L'.
-        """
-        z, info = _trtrs(self.chol.T, rhs, lower=0, trans=1)
+    def back_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """L^{-T} rhs, so that back_solve(half_solve(c)) = G^{-1}c."""
+        return self._tri_solve(rhs, trans=0)
+
+    def _tri_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        z, info = _trtrs(self.chol.T, rhs, lower=0, trans=trans)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular factor: zero pivot {info - 1}")
         if info < 0:
@@ -122,24 +125,23 @@ class DualEvaluation:
 
 def curvature_matrix(prog: FractionalProgram, point: DualPoint) -> CurvatureFactor:
     """Assemble G at the dual point and attempt a Cholesky factorization."""
-    btb = gram(prog)
     # Q + (mu*varsigma) B'B - sigma H, with one temporary fewer
-    G = (point.mu * point.varsigma) * btb
+    G = (point.mu * point.varsigma) * gram(prog)
     G += prog.Q
     G -= point.sigma * prog.H
     diag_scale = float(np.abs(G.diagonal()).max())
     try:
         chol = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        return CurvatureFactor(G, None, False, -np.inf, diag_scale, btb)
+        return CurvatureFactor(G, None, False, -np.inf, diag_scale)
     # the pivots sqrt(.) are >= 0, so the smallest square is the square of the smallest
     root = float(chol.diagonal().min())
     min_pivot = root * root
     if min_pivot <= pivot_floor(diag_scale):
-        return CurvatureFactor(G, None, False, min_pivot, diag_scale, btb)
-    if _potrs is None:
+        return CurvatureFactor(G, None, False, min_pivot, diag_scale)
+    if _trtrs is None:
         _bind_lapack()
-    return CurvatureFactor(G, chol, True, min_pivot, diag_scale, btb)
+    return CurvatureFactor(G, chol, True, min_pivot, diag_scale)
 
 
 def provably_indefinite(
@@ -201,26 +203,20 @@ def evaluate_dual(
     mu, vs, sg = point.mu, point.varsigma, point.sigma
     c = prog.f_vec - sg * prog.b_vec
 
-    x = fac.solve(c)
-    x = x + fac.solve(c - fac.matrix @ x)  # one step of iterative refinement
-
     z = fac.half_solve(c)
+    x = fac.back_solve(z)
     value = float(-0.5 * (z @ z) - mu * prog.lam * vs - 0.5 * mu * vs**2 + sg / mu)
 
-    if prog.m:
-        bx = prog.B @ x
-        xi = float(0.5 * (bx @ bx) - prog.lam)
-    else:
-        xi = -prog.lam
-    h_at_x = float(0.5 * x @ prog.H @ x - prog.b_vec @ x)
+    bx = prog.B @ x
+    xi = float(0.5 * (bx @ bx) - prog.lam)
+    hx = prog.H @ x
+    h_at_x = float(0.5 * (x @ hx) - prog.b_vec @ x)
 
     grad_vs = mu * (xi - vs)
     grad_sg = 1.0 / mu - h_at_x
 
-    u = fac.btb @ x
-    v = prog.H @ x - prog.b_vec
-    zu = fac.half_solve(u)
-    zv = fac.half_solve(v)
+    zu = fac.half_solve(prog.B.T @ bx)
+    zv = fac.half_solve(hx - prog.b_vec)
     h_vv = -(mu**2) * (zu @ zu) - mu
     h_vs = mu * (zu @ zv)
     h_ss = -(zv @ zv)
@@ -251,11 +247,8 @@ def recover_primal(prog: FractionalProgram, point: DualPoint) -> np.ndarray:
 
 def canonical_measure(prog: FractionalProgram, x) -> float:
     """Scalar image 0.5|Bx|^2 - lam of a primal point."""
-    xa = np.asarray(x, dtype=float)
-    if prog.m:
-        bx = prog.B @ xa
-        return float(0.5 * (bx @ bx) - prog.lam)
-    return -prog.lam
+    bx = prog.B @ np.asarray(x, dtype=float)
+    return float(0.5 * (bx @ bx) - prog.lam)
 
 
 def legendre_conjugate(prog: FractionalProgram, varsigma: float) -> float:

@@ -230,11 +230,8 @@ def eval_terms(prog: FractionalProgram, x) -> tuple[float, float, float]:
     """Return (quad, well, margin) evaluated at x."""
     xa = _point(prog, x)
     quad = 0.5 * xa @ prog.Q @ xa - prog.f_vec @ xa
-    if prog.m:
-        bx = prog.B @ xa
-        well = 0.5 * (0.5 * (bx @ bx) - prog.lam) ** 2
-    else:
-        well = 0.5 * prog.lam**2
+    bx = prog.B @ xa
+    well = 0.5 * (0.5 * (bx @ bx) - prog.lam) ** 2
     margin = 0.5 * xa @ prog.H @ xa - prog.b_vec @ xa
     return float(quad), float(well), float(margin)
 

@@ -5,10 +5,11 @@ variables (Newton step, gradient fallback, backtracking that keeps iterates
 inside the positive definite cone, monotone in the dual value).  Backtracking
 factorizes the full step; once a trial falls outside the cone, the remaining
 halvings are screened by inertia through the instance's (Q, -H) pencil, and
-only trials not proven indefinite are factorized.  Each factorization forms
-B'B from B (the instance does not store it), and its solves call LAPACK's
-`potrs` and `trtrs` directly through the handles bound in dual.py, so an
-ascent step at small n costs its arithmetic, not scipy's per-call checks.
+only trials not proven indefinite are factorized.  Each evaluation takes
+everything it needs (value, gradient, Hessian and the primal candidate)
+from four triangular solves with the factor's Cholesky L, made by LAPACK's
+`trtrs` directly through the handle bound in dual.py, so an ascent step at
+small n costs its arithmetic, not scipy's per-call checks.
 At an ill-conditioned iterate the dual value is only known to a few ulps,
 so there a step must rise by more than 4 eps (1 + |value|): the line search
 stops at the first trial whose predicted rise grad.move is below that
@@ -59,7 +60,6 @@ from .problem import (
     eval_objective,
     eval_subproblem,
     eval_terms,
-    gram,
     is_feasible,
 )
 
@@ -448,11 +448,7 @@ def _objective_gradient(prog: FractionalProgram, x: np.ndarray) -> np.ndarray:
     quad_grad = prog.Q @ x - prog.f_vec
     margin_grad = prog.H @ x - prog.b_vec
     _, well, margin = eval_terms(prog, x)
-    if prog.m:
-        xi = canonical_measure(prog, x)
-        well_grad = xi * (gram(prog) @ x)
-    else:
-        well_grad = np.zeros(prog.n)
+    well_grad = canonical_measure(prog, x) * (prog.B.T @ (prog.B @ x))
     return quad_grad + (well_grad * margin - well * margin_grad) / (margin * margin)
 
 
