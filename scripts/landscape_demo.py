@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Dump the dual value profile and a dual landscape slice for one instance.
 
-Builds the bundled one-dimensional demonstration instance (or reads one
-from a file), sweeps the level parameter to a CSV profile, and rasterizes
-the dual function around the maximizer of a chosen slice.  With --plot and
-matplotlib installed, renders both as PNG files instead.
+Writes the bundled one-dimensional demonstration instance (or reads one
+from a file), then runs `fracdual sweep` twice: once for the CSV profile
+over the level parameter, once for the dual function rasterized around the
+maximizer of a chosen slice.  With --plot and matplotlib installed, also
+renders both as PNG files.
 
 Usage:
     python3 scripts/landscape_demo.py --out-dir /tmp/landscape
@@ -18,17 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fracdual import (
-    DualPoint,
-    NotPDError,
-    SolverOptions,
-    evaluate_dual,
-    maximize_dual,
-    parse_instance,
-    solve,
-    validate,
-)
-from fracdual.solver import mu_grid
+from fracdual import parse_instance, serialize_instance, solve, validate
+from fracdual.cli import main as fracdual_main
 
 
 def demo_instance():
@@ -45,30 +37,40 @@ def demo_instance():
     )
 
 
-def profile_rows(prog, grid: int):
-    opts = SolverOptions(grid=grid)
-    rows = []
-    for mu in mu_grid(prog, grid):
-        sol = maximize_dual(prog, float(mu), opts)
-        rows.append((float(mu), sol.value))
-    return rows
+def _read_csv(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
-def landscape_rows(prog, mu: float, shape: tuple[int, int]):
-    sol = maximize_dual(prog, mu)
-    vs0, sg0 = sol.point.varsigma, sol.point.sigma
-    width = 1.0 + 2.0 * (abs(vs0) + sg0)
-    vs_axis = np.linspace(max(-prog.lam, vs0 - width), vs0 + width, shape[0])
-    sg_axis = np.linspace(max(0.0, sg0 - width), sg0 + width, shape[1])
-    rows = []
-    for vs in vs_axis:
-        for sg in sg_axis:
-            try:
-                val = evaluate_dual(prog, DualPoint(mu, float(vs), float(sg))).value
-            except NotPDError:
-                val = np.nan
-            rows.append((float(vs), float(sg), val))
-    return rows, vs_axis, sg_axis
+def _cell(text: str) -> float:
+    return float(text) if text and text != "nonPD" else np.nan
+
+
+def plot(out_dir: Path, prof_path: Path, land_path: Path, mu_star: float, mu_slice: float):
+    import matplotlib
+
+    matplotlib.use("Agg")
+    import matplotlib.pyplot as plt
+
+    prof = _read_csv(prof_path)
+    fig, ax = plt.subplots()
+    ax.plot([float(r[0]) for r in prof], [_cell(r[1]) for r in prof])
+    ax.axvline(mu_star, ls="--", c="gray")
+    ax.set_xlabel("mu")
+    ax.set_ylabel("dual optimum")
+    fig.savefig(out_dir / "profile.png", dpi=150)
+
+    land = _read_csv(land_path)
+    vs_axis = np.unique([float(r[0]) for r in land])
+    sg_axis = np.unique([float(r[1]) for r in land])
+    values = np.array([_cell(r[2]) for r in land]).reshape(len(vs_axis), len(sg_axis))
+    fig, ax = plt.subplots()
+    im = ax.pcolormesh(sg_axis, vs_axis, values, shading="auto")
+    fig.colorbar(im, ax=ax, label="dual value")
+    ax.set_xlabel("sigma")
+    ax.set_ylabel("varsigma")
+    ax.set_title(f"dual landscape at mu={mu_slice:.4f}")
+    fig.savefig(out_dir / "landscape.png", dpi=150)
+    print(f"wrote {out_dir / 'profile.png'} and {out_dir / 'landscape.png'}")
 
 
 def main() -> int:
@@ -77,69 +79,46 @@ def main() -> int:
                     help="instance file (default: bundled 1-d demo)")
     ap.add_argument("--at-mu", type=float, default=None,
                     help="slice for the landscape (default: solver's best)")
-    ap.add_argument("--grid", type=int, default=64)
     ap.add_argument("--shape", type=int, nargs=2, default=(40, 40),
                     metavar=("ROWS", "COLS"))
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     ap.add_argument("--plot", action="store_true",
-                    help="write PNGs with matplotlib instead of CSVs")
+                    help="also write PNGs with matplotlib")
     args = ap.parse_args()
 
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.instance is not None:
-        prog = parse_instance(args.instance.read_text())
+        inst_path = args.instance
+        prog = parse_instance(inst_path.read_text())
     else:
+        inst_path = args.out_dir / "demo_instance.json"
         prog = demo_instance()
+        inst_path.write_text(serialize_instance(prog))
 
-    res = solve(prog, SolverOptions(grid=args.grid))
+    res = solve(prog)
     print(f"best value {res.P0_value:.9f} at mu*={res.mu_star:.6f} "
           f"(certificate {res.certificate.kind.value})")
     mu_slice = args.at_mu if args.at_mu is not None else res.mu_star
 
-    prof = profile_rows(prog, args.grid)
-    grid_rows, vs_axis, sg_axis = landscape_rows(prog, mu_slice, tuple(args.shape))
+    prof_path = args.out_dir / "profile.csv"
+    land_path = args.out_dir / "landscape.csv"
+    rows, cols = args.shape
+    for argv in (
+        ["sweep", str(inst_path), "--output", str(prof_path)],
+        ["sweep", str(inst_path), "--at-mu", "%.17g" % mu_slice,
+         "--landscape", f"{rows}x{cols}", "--output", str(land_path)],
+    ):
+        code = fracdual_main(argv)
+        if code != 0:
+            return code
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.plot:
         try:
-            import matplotlib
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
+            import matplotlib  # noqa: F401
         except ImportError:
-            print("matplotlib not available, falling back to CSV output")
-            args.plot = False
-
-    if args.plot:
-        fig, ax = plt.subplots()
-        ax.plot([r[0] for r in prof], [r[1] for r in prof])
-        ax.axvline(res.mu_star, ls="--", c="gray")
-        ax.set_xlabel("mu")
-        ax.set_ylabel("dual optimum")
-        fig.savefig(args.out_dir / "profile.png", dpi=150)
-
-        grid = np.array([r[2] for r in grid_rows]).reshape(len(vs_axis), len(sg_axis))
-        fig, ax = plt.subplots()
-        im = ax.pcolormesh(sg_axis, vs_axis, grid, shading="auto")
-        fig.colorbar(im, ax=ax, label="dual value")
-        ax.set_xlabel("sigma")
-        ax.set_ylabel("varsigma")
-        ax.set_title(f"dual landscape at mu={mu_slice:.4f}")
-        fig.savefig(args.out_dir / "landscape.png", dpi=150)
-        print(f"wrote {args.out_dir / 'profile.png'} and "
-              f"{args.out_dir / 'landscape.png'}")
-        return 0
-
-    prof_path = args.out_dir / "profile.csv"
-    with prof_path.open("w") as fh:
-        fh.write("mu,dual_value\n")
-        for mu, val in prof:
-            fh.write(f"{mu:.12g},{val:.12g}\n")
-    land_path = args.out_dir / "landscape.csv"
-    with land_path.open("w") as fh:
-        fh.write("varsigma,sigma,dual_value\n")
-        for vs, sg, val in grid_rows:
-            cell = "nonPD" if np.isnan(val) else f"{val:.12g}"
-            fh.write(f"{vs:.12g},{sg:.12g},{cell}\n")
-    print(f"wrote {prof_path} and {land_path}")
+            print("matplotlib not available, wrote the CSVs only")
+            return 0
+        plot(args.out_dir, prof_path, land_path, res.mu_star, mu_slice)
     return 0
 
 

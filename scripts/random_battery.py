@@ -19,19 +19,18 @@ import numpy as np
 from fracdual import (
     CertificateKind,
     DimensionTooLargeError,
-    SolverOptions,
     generate_program,
     grid_minimize_objective,
     solve,
 )
 
 
-def run_one(seed: int, max_n: int, opts: SolverOptions):
+def run_one(seed: int, max_n: int):
     n = 1 + seed % max_n
     m = seed % 4
     prog = generate_program(n=n, m=m, seed=seed)
     t0 = time.perf_counter()
-    res = solve(prog, opts)
+    res = solve(prog)
     elapsed = time.perf_counter() - t0
     row = {
         "seed": seed,
@@ -58,15 +57,13 @@ def main() -> int:
     ap.add_argument("--count", type=int, default=25, help="number of instances")
     ap.add_argument("--max-n", type=int, default=3, help="largest dimension to draw")
     ap.add_argument("--seed", type=int, default=0, help="first seed of the batch")
-    ap.add_argument("--grid", type=int, default=64, help="solver grid size")
     args = ap.parse_args()
 
-    opts = SolverOptions(grid=args.grid)
     print(f"{'seed':>6} {'n':>2} {'m':>2} {'P0':>14} {'mu*':>10} "
           f"{'certificate':>12} {'ms':>7} {'vs oracle':>11}")
     rows = []
     for seed in range(args.seed, args.seed + args.count):
-        row = run_one(seed, args.max_n, opts)
+        row = run_one(seed, args.max_n)
         rows.append(row)
         diff = "" if row["diff"] is None else f"{row['diff']:+.2e}"
         print(f"{row['seed']:>6} {row['n']:>2} {row['m']:>2} {row['p0']:>14.6f} "

@@ -26,17 +26,7 @@ from .generate import generate_program
 from .instance_io import parse_instance, serialize_instance, serialize_result
 from .oracle import grid_minimize_objective
 from .problem import FractionalProgram
-from .solver import CertificateKind, SolverOptions, certify, maximize_dual, mu_grid, solve
-
-
-def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(
-        grid=args.grid,
-        max_iter=args.max_iter,
-        tol_grad=args.tol_grad,
-        tol_gap=args.tol_gap,
-        seed=args.seed,
-    )
+from .solver import CertificateKind, certify, maximize_dual, mu_grid, solve
 
 
 def _positive_int(text: str) -> int:
@@ -69,18 +59,6 @@ def _conditioning(text: str) -> float:
     return value
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=_positive_int, default=64, help="parameter sweep resolution")
-    p.add_argument("--max-iter", type=_positive_int, default=500, help="ascent iteration cap")
-    p.add_argument(
-        "--tol-gap", type=_positive_float, default=1e-6, help="certification gap tolerance"
-    )
-    p.add_argument(
-        "--tol-grad", type=_positive_float, default=1e-8, help="ascent convergence tolerance"
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed of the polish's jittered starts")
-
-
 def _read_instance(path: str) -> FractionalProgram:
     return parse_instance(Path(path).read_text())
 
@@ -94,7 +72,7 @@ def _default_output(instance_path: str) -> Path:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     prog = _read_instance(args.instance)
-    result = solve(prog, _solver_options(args))
+    result = solve(prog)
     out = Path(args.output) if args.output else _default_output(args.instance)
     out.write_text(serialize_result(result))
     kind = result.certificate.kind
@@ -108,7 +86,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     prog = _read_instance(args.instance)
-    result = solve(prog, _solver_options(args))
+    result = solve(prog)
     report = grid_minimize_objective(prog, resolution=args.resolution)
     diff = abs(result.P0_value - report.min_value)
     tol = max(1e-4, 1e-3 * abs(report.min_value))
@@ -132,10 +110,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _landscape_rows(
-    prog: FractionalProgram, mu: float, shape: tuple[int, int], opts: SolverOptions
-) -> list[str]:
-    sol = maximize_dual(prog, mu, opts)
+def _landscape_rows(prog: FractionalProgram, mu: float, shape: tuple[int, int]) -> list[str]:
+    sol = maximize_dual(prog, mu)
     vs0, sg0 = sol.point.varsigma, sol.point.sigma
     width = 1.0 + 2.0 * (abs(vs0) + sg0)
     rows, cols = shape
@@ -153,13 +129,13 @@ def _landscape_rows(
     return lines
 
 
-def _profile_rows(prog: FractionalProgram, opts: SolverOptions) -> list[str]:
+def _profile_rows(prog: FractionalProgram, grid: int) -> list[str]:
     lines = ["mu,dual_value,certificate"]
-    for mu in mu_grid(prog, opts.grid):
+    for mu in mu_grid(prog, grid):
         mu = float(mu)
         try:
-            sol = maximize_dual(prog, mu, opts)
-            cert = certify(prog, mu, sol, opts)
+            sol = maximize_dual(prog, mu)
+            cert = certify(prog, mu, sol)
             lines.append(f"{'%.17g' % mu},{'%.17g' % sol.value},{cert.kind.value}")
         except FracdualError:
             lines.append(f"{'%.17g' % mu},,None")
@@ -181,12 +157,11 @@ def _parse_shape(text: str) -> tuple[int, int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     prog = _read_instance(args.instance)
-    opts = _solver_options(args)
     if args.at_mu is not None:
         shape = args.landscape if args.landscape else (20, 20)
-        lines = _landscape_rows(prog, args.at_mu, shape, opts)
+        lines = _landscape_rows(prog, args.at_mu, shape)
     else:
-        lines = _profile_rows(prog, opts)
+        lines = _profile_rows(prog, args.grid)
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)
@@ -206,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance", help="instance file path")
     p_solve.add_argument("--output", help="result file path (default: <instance>.result.json)")
-    _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against the grid reference")
@@ -215,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution", type=_positive_float, default=None,
         help="reference grid spacing override",
     )
-    _add_solver_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
@@ -237,8 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--landscape", type=_parse_shape, default=None, help="landscape cells as ROWSxCOLS"
     )
+    p_sweep.add_argument(
+        "--grid", type=_positive_int, default=64, help="number of mu values in the profile"
+    )
     p_sweep.add_argument("--output", help="write here instead of stdout")
-    _add_solver_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

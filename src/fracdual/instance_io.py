@@ -185,9 +185,7 @@ def result_payload(result: SolveResult) -> dict:
         "solver_options": {
             "grid": opts.grid,
             "max_iter": opts.max_iter,
-            "tol_grad": opts.tol_grad,
             "tol_gap": opts.tol_gap,
-            "seed": opts.seed,
         },
         "timings": {k: float(v) for k, v in result.timings.items()},
     }

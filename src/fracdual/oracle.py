@@ -189,7 +189,18 @@ def _grid_minimize(prog: FractionalProgram, mu: float | None, resolution: float 
 
 
 def grid_minimize_objective(prog: FractionalProgram, resolution: float | None = None) -> OracleReport:
-    """Reference minimum of the fractional objective over the feasible set."""
+    """Reference minimum of the fractional objective over the feasible set.
+
+    The reference sees only grid cells, so it can miss a feasible region
+    narrower than the grid spacing.  When the ellipsoid is thinner than
+    `resolution` along an axis, no cell may be feasible at all, and the
+    report is the margin peak x_center with n_evals == 1.  A solver value
+    below the reference at a feasible x_star then means the grid missed
+    the region, not that the solver is wrong: `fracdual gen --n 2 --m 1
+    --seed 2029 --conditioning 1e6` is about 7e-4 wide along its second
+    axis, and at the default 1e-3 the reference reports 1.377633624 (the
+    peak) while the solver finds 1.14779557682.
+    """
     return _grid_minimize(prog, None, resolution)
 
 

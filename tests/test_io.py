@@ -152,7 +152,7 @@ class TestResultSerialization:
         assert data["global_lower_bound"] == result.global_lower_bound
         assert data["global_gap"] == result.global_gap
         assert data["solver_options"] == {
-            "grid": 12, "max_iter": 500, "tol_grad": 1e-8, "tol_gap": 1e-6, "seed": 0,
+            "grid": 12, "max_iter": 500, "tol_gap": 1e-6,
         }
         assert len(data["mu_profile"]) == len(result.mu_profile)
         entry = data["mu_profile"][0]

@@ -62,7 +62,7 @@ class TestStart:
         assert fd.find_start(prog, prog.mu0) == DualPoint(prog.mu0, 0.0, 10.0 * scale)
         assert fd.find_start(prog, prog.mu_max) == DualPoint(prog.mu_max, 10.0, scale)
         res = fd.solve(prog)
-        assert res.cone_coverage == 1.0
+        assert all(sample.solution is not None for sample in res.mu_profile)
         assert fd.is_feasible(prog, res.x_star)
         assert res.P0_value == fd.eval_objective(prog, res.x_star)
 
@@ -266,7 +266,7 @@ class TestSolve:
         assert res.P0_value == pytest.approx(REFERENCE_P0, abs=1e-6)
         assert res.x_star[0] == pytest.approx(REFERENCE_X, abs=1e-3)
         assert res.mu_star == pytest.approx(REFERENCE_MU, abs=1e-3)
-        assert res.cone_coverage == 1.0
+        assert all(sample.solution is not None for sample in res.mu_profile)
         assert res.P0_value >= res.best_dual_value - 1e-6 * (1.0 + abs(res.best_dual_value))
 
     def test_reference_beats_the_edge_subproblem(self, reference):
