@@ -8,9 +8,10 @@ prints, as float hex:
     per instance: P0, x_star, the certificate kind and the global lower
                   bound, then the sha256 of the canonical instance text and
                   of the result text with its `timings` values zeroed;
-    per slice:    mu, note, P0 of its candidate, n_iter, status,
-                  value_trace, the final dual point, min_pivot and the
-                  slice's certificate kind.
+    per slice:    mu, note, P0 of its candidate, n_iter, status, the
+                  final dual point, min_pivot and the slice's certificate
+                  kind (not the ascent's intermediate values, which the
+                  solver does not keep).
 
 The last line is the sha256 of everything before it.  Two outputs that
 `diff` clean mean two versions of the solver are bit-identical there, and
@@ -82,8 +83,7 @@ def instance_lines(fd, name: str, seed: int, text: str):
             continue
         d = sol.point
         yield (f"{head} n_iter {sol.n_iter} status {sol.status.value} "
-               f"d {_hex((d.varsigma, d.sigma))} min_pivot {float(sol.min_pivot).hex()} "
-               f"trace {_hex(sol.value_trace)}")
+               f"d {_hex((d.varsigma, d.sigma))} min_pivot {float(sol.min_pivot).hex()}")
 
 
 def _instances(lines) -> dict:

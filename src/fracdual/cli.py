@@ -8,7 +8,7 @@ Subcommands:
            value landscape at a fixed parameter, as CSV
 
 Exit codes: 0 success (solve: certified global optimum; verify: values
-agree), 1 completed without certification or with a mismatch, 2 any error
+agree), 1 completed uncertified, mismatched or inconclusive, 2 any error
 (bad input, unparseable file, dimension too large, usage).
 """
 
@@ -88,11 +88,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     prog = _read_instance(args.instance)
     result = solve(prog)
     report = grid_minimize_objective(prog, resolution=args.resolution)
+    print(f"solver   P0 = {result.P0_value:.12g}  (certificate={result.certificate.kind.value})")
+    if not report.grid_feasible:
+        print(f"INCONCLUSIVE: no feasible grid cell at resolution {report.resolution:g}")
+        return 1
     diff = abs(result.P0_value - report.min_value)
     tol = max(1e-4, 1e-3 * abs(report.min_value))
     dist = float(np.linalg.norm(result.x_star - report.argmin))
     agree = diff <= tol
-    print(f"solver   P0 = {result.P0_value:.12g}  (certificate={result.certificate.kind.value})")
     print(f"reference P0 = {report.min_value:.12g}  (grid resolution {report.resolution:g})")
     print(f"|difference| = {diff:.3g}  tolerance = {tol:.3g}  |x gap| = {dist:.3g}")
     print("PASS" if agree else "FAIL")

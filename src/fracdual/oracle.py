@@ -28,9 +28,8 @@ class OracleReport:
     min_value: float
     argmin: np.ndarray
     resolution: float
-    box_lo: np.ndarray
-    box_hi: np.ndarray
     n_evals: int
+    grid_feasible: bool  # False: no grid cell was feasible, argmin is x_center
 
 
 def bounding_box(
@@ -182,9 +181,8 @@ def _grid_minimize(prog: FractionalProgram, mu: float | None, resolution: float 
         min_value=float(best_val),
         argmin=best_x,
         resolution=float(resolution),
-        box_lo=lo,
-        box_hi=hi,
         n_evals=n_evals,
+        grid_feasible=best_idx is not None,
     )
 
 
@@ -193,10 +191,9 @@ def grid_minimize_objective(prog: FractionalProgram, resolution: float | None = 
 
     The reference sees only grid cells, so it can miss a feasible region
     narrower than the grid spacing.  When the ellipsoid is thinner than
-    `resolution` along an axis, no cell may be feasible at all, and the
-    report is the margin peak x_center with n_evals == 1.  A solver value
-    below the reference at a feasible x_star then means the grid missed
-    the region, not that the solver is wrong: `fracdual gen --n 2 --m 1
+    `resolution` along an axis, no cell may be feasible at all; then
+    grid_feasible is False and the report is the margin peak x_center, a
+    value that proves nothing about the minimum: `fracdual gen --n 2 --m 1
     --seed 2029 --conditioning 1e6` is about 7e-4 wide along its second
     axis, and at the default 1e-3 the reference reports 1.377633624 (the
     peak) while the solver finds 1.14779557682.

@@ -55,12 +55,8 @@ class MuInterval:
     hi: float
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def degenerate(self) -> bool:
-        return self.width <= 1e-12 * (1.0 + abs(self.lo))
+        return self.hi - self.lo <= 1e-12 * (1.0 + abs(self.lo))
 
 
 @dataclass(frozen=True)

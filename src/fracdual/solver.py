@@ -10,15 +10,17 @@ everything it needs (value, gradient, Hessian and the primal candidate)
 from four triangular solves with the factor's Cholesky L, made by LAPACK's
 `trtrs` directly through the handle bound in dual.py, so an ascent step at
 small n costs its arithmetic, not scipy's per-call checks.
-At an ill-conditioned iterate the dual value is only known to a few ulps,
-so there a step must rise by more than 4 eps (1 + |value|): the line search
-stops at the first trial whose predicted rise grad.move is below that
-floor, which by concavity bounds its real rise, and when neither the
-Newton nor the gradient step clears it the ascent ends instead of creeping
-along the cone edge by rounding noise.  Well-conditioned iterates accept
-any rise.  A converged point is turned into a certificate by recomputing
-the primal-dual gap, the stationarity of the canonical measure, and
-boundary complementarity.
+A step from an ill-conditioned iterate must rise by more than
+max(4 eps, 1e-3 tol_gap)(1 + |value|), elsewhere by anything: the line
+search stops at the first trial whose predicted rise grad.move (by
+concavity a bound on its real rise) is below that floor, and the ascent
+ends when neither the Newton nor the gradient step clears it.  The floor
+is a tolerance, not a rounding bound: recomputed at 60 digits, the final
+values of mixed seed 1022's boundary slices (condition numbers up to 5e10)
+were within 2e-15 of exact, so the rises it refuses are real, but each
+gains about half of the last, such a slice is never certified, and steps
+below a thousandth of tol_gap took most of the solver's time.  Certifying
+recomputes the gap, xi-stationarity and boundary complementarity.
 
 The outer solve scans a uniform grid over [mu0, 1/delta] and returns the
 best feasible candidate.  Every solved slice also bounds the global
@@ -61,7 +63,6 @@ from .dual import (
 from .errors import AllSubproblemsFailedError, NoStartingPointError, WeakDualityError
 from .problem import (
     FractionalProgram,
-    _freeze,
     check_mu,
     eval_objective,
     eval_subproblem,
@@ -102,7 +103,6 @@ class DualSolution:
     status: AscentStatus
     n_iter: int
     min_pivot: float
-    value_trace: np.ndarray  # read-only float64, one entry per iterate, the start included
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +113,6 @@ class Certificate:
     stationarity_xi: float
     feasibility_residual: float
     kind: CertificateKind
-    x: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,6 +212,8 @@ _HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
 # once, so at an ill-conditioned iterate a rise below this many ulps of
 # 1 + |value| may be rounding alone.
 _NOISE_ULPS = 4.0 * np.finfo(float).eps
+# Of tol_gap(1 + |value|), the rise a step from an ill-conditioned iterate needs.
+_RISE_SHARE = 1e-3
 
 
 def _try_step(
@@ -273,14 +274,19 @@ def maximize_dual(
     prog: FractionalProgram, mu: float, opts: SolverOptions | None = None
 ) -> DualSolution:
     """Projected Newton ascent of the dual over the cone at fixed mu."""
-    opts = opts or SolverOptions()
+    return _ascend(prog, mu, opts or SolverOptions())[0]
+
+
+def _ascend(
+    prog: FractionalProgram, mu: float, opts: SolverOptions
+) -> tuple[DualSolution, DualEvaluation]:
+    """maximize_dual, with the evaluation at its final point."""
     mu = check_mu(prog, mu)
     lo = _bounds(prog)
     lo_edge = lo + _BOUND_RTOL * (1.0 + np.abs(lo))
     start, fac = _start(prog, mu)
     d = start.as_array()
     ev = evaluate_dual(prog, start, fac=fac)
-    trace = [ev.value]
     converged = False
     pg_norm = np.inf
     n_iter = 0
@@ -292,8 +298,9 @@ def maximize_dual(
         converged = pg_norm <= _TOL_GRAD * (1.0 + abs(ev.value))
         if converged:
             break
-        # at an ill-conditioned iterate, rises within rounding are not progress
-        min_rise = _NOISE_ULPS * (1.0 + abs(ev.value)) if ev.ill_conditioned else 0.0
+        # at an ill-conditioned iterate, rises below the floor are not progress
+        floor = max(_NOISE_ULPS, _RISE_SHARE * opts.tol_gap) if ev.ill_conditioned else 0.0
+        min_rise = floor * (1.0 + abs(ev.value))
         step = _ascent_direction(ev.hessian, pg, ~clamped)
         moved = _try_step(prog, mu, d, step, grad, ev.value, lo, min_rise)
         if moved is None and (step != pg).any():
@@ -301,7 +308,6 @@ def maximize_dual(
         if moved is None:
             break
         d, ev = moved
-        trace.append(ev.value)
     return DualSolution(
         point=DualPoint(mu, float(d[0]), float(d[1])),
         value=ev.value,
@@ -309,8 +315,7 @@ def maximize_dual(
         status=_classify(ev, d, lo, prog.lam, converged),
         n_iter=n_iter,
         min_pivot=ev.min_pivot,
-        value_trace=_freeze(trace),
-    )
+    ), ev
 
 
 def certify(
@@ -318,18 +323,20 @@ def certify(
     mu: float,
     sol: DualSolution,
     opts: SolverOptions | None = None,
+    ev: DualEvaluation | None = None,
 ) -> Certificate:
     """Recompute the gap, stationarity, and complementarity at a dual solution.
 
     Perfect requires a trusted factorization (not near the definiteness
     boundary), gap within tol_gap*(1+|primal|), |xi - varsigma| <= 1e-6 scale,
-    and the boundary/interior complementarity branch for sigma.
+    and the boundary/interior complementarity branch for sigma.  `ev`, the
+    ascent's evaluation at sol.point, saves evaluating that point again.
     """
     opts = opts or SolverOptions()
     mu = check_mu(prog, mu)
-    ev = evaluate_dual(prog, sol.point)
-    x = ev.x_candidate
-    primal = eval_subproblem(prog, mu, x)
+    if ev is None:
+        ev = evaluate_dual(prog, sol.point)
+    primal = eval_subproblem(prog, mu, ev.x_candidate)
     gap = primal - ev.value
     stat_xi = abs(ev.xi - sol.point.varsigma)
     inv_mu = 1.0 / mu
@@ -356,7 +363,6 @@ def certify(
         stationarity_xi=float(stat_xi),
         feasibility_residual=float(feas_res),
         kind=kind,
-        x=x,
     )
 
 
@@ -369,7 +375,6 @@ def _uncertified(prog: FractionalProgram, mu: float, x: np.ndarray) -> Certifica
         stationarity_xi=np.inf,
         feasibility_residual=0.0,
         kind=CertificateKind.NONE,
-        x=x,
     )
 
 
@@ -385,12 +390,12 @@ def _snap_to_margin(prog: FractionalProgram, x: np.ndarray, bound: float) -> np.
 
 def _solve_at_mu(prog: FractionalProgram, mu: float, opts: SolverOptions) -> MuSample:
     try:
-        sol = maximize_dual(prog, mu, opts)
+        sol, ev = _ascend(prog, mu, opts)
     except NoStartingPointError:
         return MuSample(mu=mu, solution=None, certificate=None, x=None, p0=None,
                         note="NoStartingPoint")
-    cert = certify(prog, mu, sol, opts)
-    x = cert.x
+    cert = certify(prog, mu, sol, opts, ev)
+    x = ev.x_candidate
     _, _, margin = eval_terms(prog, x)
     if margin < 1.0 / mu:
         x = _snap_to_margin(prog, x, 1.0 / mu)
@@ -432,7 +437,6 @@ def _singleton_result(prog: FractionalProgram, opts: SolverOptions, t0: float) -
         stationarity_xi=0.0,
         feasibility_residual=margin - prog.mu0_inv,
         kind=CertificateKind.PERFECT,
-        x=x,
     )
     sample = MuSample(mu=prog.mu0, solution=None, certificate=cert, x=x, p0=p0,
                       note="DirectSingleton")

@@ -120,7 +120,8 @@ def test_criterion_2_strong_duality_and_rate():
                 violations.append((seed, "gap", cert.gap))
             if res.d_star.sigma > 1e-9:
                 level_err = abs(
-                    fd.eval_terms(prog, cert.x)[2] - 1.0 / res.mu_star
+                    fd.eval_terms(prog, fd.recover_primal(prog, res.d_star))[2]
+                    - 1.0 / res.mu_star
                 )
                 if level_err > 1e-6:
                     violations.append((seed, "level", level_err))

@@ -89,6 +89,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_no_feasible_grid_cell_is_inconclusive(self, tmp_path, capsys):
+        # a feasible set about 7e-4 wide, thinner than the 1e-3 grid spacing
+        path = tmp_path / "thin.json"
+        assert main(["gen", "--n", "2", "--m", "1", "--seed", "2029",
+                     "--conditioning", "1e6", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "INCONCLUSIVE: no feasible grid cell at resolution 0.001" in out
+        assert "FAIL" not in out and "PASS" not in out
+
     def test_dimension_too_large_exits_two(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         assert main(["gen", "--n", "4", "--seed", "7", "--output", str(path)]) == 0

@@ -44,6 +44,17 @@ def test_singleton_region(reference):
     assert report.argmin[0] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_report_says_when_no_grid_cell_is_feasible(reference):
+    assert fd.grid_minimize_objective(reference).grid_feasible
+    # about 7e-4 wide along x2, so the default 1e-3 grid has no feasible cell
+    prog = fd.generate_program(2, 1, seed=2029, conditioning=1e6)
+    report = fd.grid_minimize_objective(prog)
+    assert not report.grid_feasible
+    assert_allclose(report.argmin, prog.x_center)
+    assert report.n_evals == 1
+    assert fd.grid_minimize_objective(prog, resolution=1e-4).grid_feasible
+
+
 def test_minimum_does_not_undercut_the_solver_bound():
     # the minimizer is on the boundary; grid points that the feasibility
     # slack would admit just outside the region lie below the true minimum

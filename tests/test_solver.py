@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import fracdual as fd
+from fracdual import dual, solver
 from fracdual.dual import DualPoint
-from fracdual import solver
-from fracdual.problem import _freeze
 from fracdual.solver import (
     AscentStatus,
     CertificateKind,
@@ -28,6 +27,21 @@ from conftest import (
     make_gap_case,
     make_reference,
 )
+
+
+def _record_steps(monkeypatch) -> list:
+    """Spy on _try_step: (value before, value after) of every accepted step."""
+    steps = []
+    try_step = solver._try_step
+
+    def spy(prog, mu, d, step, grad, value, lo, min_rise):
+        moved = try_step(prog, mu, d, step, grad, value, lo, min_rise)
+        if moved is not None:
+            steps.append((value, moved[1].value))
+        return moved
+
+    monkeypatch.setattr(solver, "_try_step", spy)
+    return steps
 
 
 def make_interior_optimum():
@@ -98,7 +112,7 @@ class TestAscent:
         cert = fd.certify(reference, 2.0, sol)
         assert cert.kind is CertificateKind.PERFECT
         assert abs(cert.gap) <= 1e-6 * (1.0 + abs(cert.primal_value))
-        assert_allclose(cert.x, [1.0 - np.sqrt(0.5)], atol=1e-7)
+        assert_allclose(fd.recover_primal(reference, sol.point), [1.0 - np.sqrt(0.5)], atol=1e-7)
 
     def test_bottom_of_interval_approaches_singleton_value(self, reference):
         # at mu equal to the inverse margin peak the supremum 1.125 is only
@@ -108,12 +122,15 @@ class TestAscent:
         assert sol.value == pytest.approx(1.125, abs=1e-3)
         assert sol.grad_norm <= 1e-8 * (1.0 + abs(sol.value))
 
-    def test_trace_is_monotone(self, reference):
+    def test_accepted_values_strictly_rise(self, reference, monkeypatch):
+        steps = _record_steps(monkeypatch)
         sol = fd.maximize_dual(reference, 1.7)
-        trace = np.asarray(sol.value_trace)
-        assert np.all(np.diff(trace) >= 0.0)
-        assert sol.value_trace.dtype == np.float64
-        assert not sol.value_trace.flags.writeable
+        assert sol.status is AscentStatus.INTERIOR_CRITICAL
+        assert len(steps) == sol.n_iter - 1  # the converged iteration takes no step
+        before, after = np.array(steps).T
+        assert np.all(after > before)
+        np.testing.assert_array_equal(before[1:], after[:-1])
+        assert after[-1] == sol.value
 
     def test_iterates_respect_box(self, reference):
         for mu in (1.0, 1.3, 2.0):
@@ -153,20 +170,30 @@ def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
         return cholesky(*args)
 
     monkeypatch.setattr(solver, "curvature_matrix", counted)
-    screened = [fd.maximize_dual(prog, mu) for mu in mus]
+    steps = _record_steps(monkeypatch)
+
+    def ascents():
+        out = []
+        for mu in mus:
+            steps.clear()
+            out.append((fd.maximize_dual(prog, mu), list(steps)))
+        return out
+
+    screened = ascents()
     screened_calls = factorized["calls"]
     monkeypatch.setattr(
         solver, "provably_indefinite", lambda prog, tau, sigma: np.zeros(len(tau), bool)
     )
     factorized["calls"] = 0
-    admitted = [fd.maximize_dual(prog, mu) for mu in mus]
+    admitted = ascents()
     assert screened_calls < factorized["calls"]
-    for a, b in zip(screened, admitted):
+    for (a, a_steps), (b, b_steps) in zip(screened, admitted):
         assert a.point == b.point
         assert a.value == b.value
         assert a.n_iter == b.n_iter
         assert a.status is b.status
-        np.testing.assert_array_equal(a.value_trace, b.value_trace)
+        assert a.n_iter - 1 <= len(a_steps) <= a.n_iter
+        assert a_steps == b_steps
 
 
 class TestNoiseFloor:
@@ -234,6 +261,99 @@ class TestNoiseFloor:
         assert moved is not None and moved[1].value - ev.value <= min_rise
 
 
+class TestRiseFloor:
+    # the slice of ill-conditioned seed 1034 that crept to the 500-iteration
+    # cap on rises of 10-80 eps, ending at this value
+    MU = 11.748446792621783
+    CAPPED_VALUE = -0.2392974481006048
+
+    def test_creeping_slice_ends_far_below_the_cap(self):
+        sol = fd.maximize_dual(TestNoiseFloor._prog(), self.MU)
+        assert sol.status is AscentStatus.NEAR_PD_BOUNDARY
+        assert sol.n_iter <= 100
+        assert sol.value > self.CAPPED_VALUE
+
+    @pytest.mark.parametrize("mu", [MU, TestNoiseFloor.MU])
+    def test_no_trial_from_the_end_gains_more_than_the_floor(self, mu):
+        # the ascent ended because neither the Newton nor the gradient step
+        # from its last point rises by more than 1e-3 tol_gap (1 + |value|)
+        prog = TestNoiseFloor._prog()
+        sol, ev = solver._ascend(prog, mu, fd.SolverOptions())
+        assert sol.status is AscentStatus.NEAR_PD_BOUNDARY and ev.ill_conditioned
+        assert sol.n_iter < fd.SolverOptions().max_iter
+        floor = 1e-3 * fd.SolverOptions().tol_gap * (1.0 + abs(ev.value))
+        d, lo = sol.point.as_array(), solver._bounds(prog)
+        grad = np.array([ev.grad_varsigma, ev.grad_sigma])
+        free = ~((d <= lo + solver._BOUND_RTOL * (1.0 + np.abs(lo))) & (grad < 0.0))
+        pg = np.where(free, grad, 0.0)
+        gains = []
+        for step in (_ascent_direction(ev.hessian, pg, free), pg):
+            assert solver._try_step(prog, mu, d, step, grad, ev.value, lo, floor) is None
+            for trial in np.maximum(d + solver._HALVINGS * step, lo):
+                point = DualPoint(mu, float(trial[0]), float(trial[1]))
+                fac = fd.curvature_matrix(prog, point)
+                if fac.pd:
+                    gains.append(fd.evaluate_dual(prog, point, fac=fac).value - ev.value)
+        assert max(gains) <= floor
+        # the rises refused are above rounding: the floor is a tolerance
+        assert max(gains) > 1e3 * solver._NOISE_ULPS * (1.0 + abs(ev.value))
+
+    # (n_iter, varsigma, sigma, value) as float hex, from the solver before
+    # the floor was raised above 4 eps: these slices never turn
+    # ill-conditioned, so the floor must leave them bit for bit
+    @pytest.mark.parametrize("prog, mu, want", [
+        (make_reference(), 1.7, (9, "-0x1.df220ac1a0d0fp-1", "0x1.d3ded7400d877p-4",
+                                 "0x1.beda7d6b1c568p-1")),
+        (fd.generate_program(4, 1, seed=1005), 2.249664037515023,
+         (13, "-0x1.880ff51868528p+0", "0x1.c03e97d2cf695p+1", "0x1.55bc9de90a619p+1")),
+    ])
+    def test_well_conditioned_slice_is_unchanged(self, prog, mu, want, monkeypatch):
+        floors = []
+        try_step = solver._try_step
+
+        def spy(*args):
+            floors.append(args[-1])
+            return try_step(*args)
+
+        monkeypatch.setattr(solver, "_try_step", spy)
+        sol = fd.maximize_dual(prog, mu)
+        assert floors and set(floors) == {0.0}
+        assert fd.certify(prog, mu, sol).kind is CertificateKind.PERFECT
+        point = sol.point
+        got = (sol.n_iter, point.varsigma.hex(), point.sigma.hex(), sol.value.hex())
+        assert got == want
+
+
+def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
+    # every factorization of a solve is made by an ascent: certifying a
+    # slice takes the ascent's last evaluation and factorizes nothing
+    prog = fd.generate_program(3, 2, seed=1022)
+    calls = {"n": 0}
+    cholesky = dual.curvature_matrix
+
+    def counted(*args):
+        calls["n"] += 1
+        return cholesky(*args)
+
+    monkeypatch.setattr(solver, "curvature_matrix", counted)
+    monkeypatch.setattr(dual, "curvature_matrix", counted)
+    per_ascent = []
+    ascend = solver._ascend
+
+    def spy(*args):
+        before = calls["n"]
+        try:
+            return ascend(*args)
+        finally:
+            per_ascent.append(calls["n"] - before)
+
+    monkeypatch.setattr(solver, "_ascend", spy)
+    res = fd.solve(prog, fd.SolverOptions(grid=12))
+    assert len(per_ascent) >= 12 and min(per_ascent) > 0
+    assert calls["n"] == sum(per_ascent)
+    assert any(s.note == "Polished" for s in res.mu_profile)
+
+
 class TestCertify:
     def test_weak_only_at_noncritical_feasible_point(self):
         prog = make_interior_optimum()
@@ -241,7 +361,6 @@ class TestCertify:
         sol = DualSolution(
             point=point, value=fd.dual_value(prog, point), grad_norm=1.0,
             status=AscentStatus.MAX_ITERATIONS, n_iter=1, min_pivot=1.6,
-            value_trace=_freeze([0.0]),
         )
         cert = fd.certify(prog, 2.0, sol)
         assert cert.kind is CertificateKind.WEAK_ONLY
@@ -253,7 +372,7 @@ class TestCertify:
         sol = DualSolution(
             point=point, value=fd.dual_value(prog=reference, point=point),
             grad_norm=0.0, status=AscentStatus.NEAR_PD_BOUNDARY, n_iter=1,
-            min_pivot=1e-12, value_trace=_freeze([0.0]),
+            min_pivot=1e-12,
         )
         cert = fd.certify(reference, 2.0, sol)
         assert cert.kind is not CertificateKind.PERFECT
@@ -487,7 +606,7 @@ def test_solve_output_is_feasible_and_above_dual(seed):
         assert abs(cert.gap) <= 1e-6 * (1.0 + abs(cert.primal_value))
         if res.d_star.sigma > 1e-9:
             level_err = abs(
-                fd.eval_terms(prog, cert.x)[2] - 1.0 / res.mu_star
+                fd.eval_terms(prog, fd.recover_primal(prog, res.d_star))[2] - 1.0 / res.mu_star
             )
             assert level_err <= 1e-6
 
