@@ -36,7 +36,8 @@ how many instances end with P0 - LB <= tol_gap*(1+|P0|) on each side, and
 per workload each side's ascent iterations (summed n_iter over all slices),
 iteration-capped slices (n_iter equal to the default `max_iter`) and
 stalled slices (status MaxIterations with n_iter below it, perfbench's
-`solver.stalled_slices`).
+`solver.stalled_slices`), and the polish wins: the instances whose answer
+is a `Polished` slice (one whose P0 is the instance's).
 It exits 1 when it listed any instance.
 """
 
@@ -113,6 +114,21 @@ def _iterations(lines, max_iter: int) -> dict:
     return table
 
 
+def _polish_wins(lines) -> dict:
+    """workload -> seeds whose answer is a Polished slice, of a digest."""
+    table = {}
+    for line in lines:
+        tok = line.split()
+        if not tok or tok[0] == "sha256":
+            continue
+        if not line.startswith(" "):
+            name, seed, p0 = tok[0], int(tok[1]), tok[3]
+            table.setdefault(name, [])
+        elif tok[:1] == ["mu"] and tok[3:6] == ["Polished", "p0", p0]:
+            table[name].append(seed)
+    return table
+
+
 def against(old_lines, new_lines, opts) -> int:
     tol_gap = opts.tol_gap
     new = _instances(new_lines)
@@ -144,6 +160,10 @@ def against(old_lines, new_lines, opts) -> int:
         print(f"{name}: ascent iterations DIGEST {was_iters}, this run {iters}; "
               f"iteration-capped slices DIGEST {was_capped}, this run {capped}; "
               f"stalled slices DIGEST {was_stalled}, this run {stalled}")
+    old_wins = _polish_wins(old_lines)
+    for name, wins in sorted(_polish_wins(new_lines).items()):
+        was = old_wins.get(name, [])
+        print(f"{name}: polish wins DIGEST {len(was)} {was}, this run {len(wins)} {wins}")
     print(f"listed: {listed}")
     return 1 if listed else 0
 

@@ -6,6 +6,8 @@ solving each subproblem through a concave dual with a posteriori global
 optimality certificates.
 """
 
+import importlib
+
 from .dual import (
     CurvatureFactor,
     DualEvaluation,
@@ -47,12 +49,6 @@ from .instance_io import (
     serialize_instance,
     serialize_result,
 )
-from .oracle import (
-    OracleReport,
-    bounding_box,
-    grid_minimize_objective,
-    grid_minimize_subproblem,
-)
 from .problem import (
     FractionalProgram,
     MuInterval,
@@ -63,21 +59,27 @@ from .problem import (
     is_feasible,
     validate,
 )
-from .solver import (
-    AscentStatus,
-    Certificate,
-    CertificateKind,
-    DualSolution,
-    ExistenceProbe,
-    MuSample,
-    SolveResult,
-    SolverOptions,
-    certify,
-    existence_probe,
-    find_start,
-    maximize_dual,
-    solve,
+
+# The solver's and the oracle's names, imported on first use (PEP 562):
+# generating, serializing and parsing never pay for building the solver.
+_LAZY = dict.fromkeys(
+    ("OracleReport", "bounding_box", "grid_minimize_objective", "grid_minimize_subproblem"),
+    "oracle",
+) | dict.fromkeys(
+    ("AscentStatus", "Certificate", "CertificateKind", "DualSolution", "ExistenceProbe",
+     "MuSample", "SolveResult", "SolverOptions", "certify", "existence_probe", "find_start",
+     "maximize_dual", "solve"),
+    "solver",
 )
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

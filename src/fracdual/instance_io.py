@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParseError
 from .problem import FractionalProgram, validate
-from .solver import SolveResult
+
+if TYPE_CHECKING:
+    from .solver import SolveResult
 
 SCHEMA_VERSION = 1
 

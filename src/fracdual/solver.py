@@ -32,8 +32,9 @@ dual bound D(s) is a supremum of such lines, so it is convex in s, and
 refinement follows Kelley's cutting-plane rule: while the best feasible
 value UB is more than tol_gap above LB, it solves the slice where the
 envelope bottoms out.  A gap left open (a duality gap, or slices that stop
-short on the definiteness boundary) goes to a polish by local descent of
-the ratio objective from the best candidates.
+short on the definiteness boundary) goes to a polish: spectral projected
+gradient descent of the ratio objective from the best candidates, in the
+metric of -H, where the region is a ball and the projection a radial snap.
 
 The ascent's convergence test (_TOL_GRAD) and the seed of the polish's
 jittered starts (_POLISH_SEED) are fixed: the certificates are graded
@@ -151,8 +152,9 @@ class SolveResult:
 # The ascent stops once the projected gradient is at most this times
 # 1 + |dual value|.
 _TOL_GRAD = 1e-8
-# Seed of the polish's jittered starts.
+# Seed of the polish's jittered starts, and its descent's steps per start.
 _POLISH_SEED = 0
+_DESCENT_ITERS = 250
 _BOUND_RTOL = 1e-12
 _AT_BOUND_RTOL = 1e-9
 _SIGMA_POSITIVE = 1e-9
@@ -381,7 +383,7 @@ def _uncertified(prog: FractionalProgram, mu: float, x: np.ndarray) -> Certifica
 def _snap_to_margin(prog: FractionalProgram, x: np.ndarray, bound: float) -> np.ndarray:
     """Scale x toward the margin peak until margin(x) >= bound (exact boundary)."""
     y = x - prog.x_center
-    q = float(y @ (-prog.H) @ y)
+    q = float(-(y @ prog.H @ y))
     target = 2.0 * (prog.mu0_inv - bound)
     if q <= target or q <= 0.0:
         return x
@@ -464,35 +466,38 @@ def _objective_gradient(prog: FractionalProgram, x: np.ndarray) -> np.ndarray:
     return quad_grad + (well_grad * margin - well * margin_grad) / (margin * margin)
 
 
-def _descend(prog: FractionalProgram, x0: np.ndarray, max_iter: int = 250):
-    """Projected descent of the ratio objective over the region.
+def _descend(prog: FractionalProgram, x0: np.ndarray, metric: np.ndarray):
+    """Spectral projected gradient descent of the ratio objective (Birgin,
+    Martinez and Raydan 2000) in the metric W = -H, with `metric` = W^-1.
 
-    Steps follow (-H)^{-1} times the gradient: the steepest descent in the
-    metric of -H, where the region is a ball about x_center.  There the
-    radial snap onto the margin-delta shell is the exact projection, so
-    the descent stops only at KKT points.  Plain backtracking with strict
-    decrease."""
-    metric = np.linalg.inv(-prog.H)
+    In W the region is a ball about x_center, so the radial snap onto the
+    margin-delta shell is the exact projection.  The move d = snap(x -
+    alpha W^-1 grad) - x is halved until a trial passes Armijo and decreases
+    strictly; alpha is the Barzilai-Borwein step s'Ws / s'(grad change).
+    Stops at a KKT point (grad.d >= 0) or when no trial decreases."""
     x = _snap_to_margin(prog, np.asarray(x0, dtype=float), prog.delta)
     val = eval_objective(prog, x)
-    t = 1.0
-    for _ in range(max_iter):
-        g = metric @ _objective_gradient(prog, x)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
+    grad = _objective_gradient(prog, x)
+    w_grad = metric @ grad
+    alpha = 1.0 / (1.0 + float(np.linalg.norm(w_grad)))
+    for _ in range(_DESCENT_ITERS):
+        d = _snap_to_margin(prog, x - alpha * w_grad, prog.delta) - x
+        slope = float(grad @ d)
+        if slope >= 0.0:
             break
-        step = t / (1.0 + gnorm)
-        moved = False
-        for _ in range(25):
-            y = _snap_to_margin(prog, x - step * g, prog.delta)
+        for lam in _HALVINGS[:25, 0]:
+            y = x + lam * d
             vy = eval_objective(prog, y)
-            if vy < val - 1e-14 * (1.0 + abs(val)):
-                x, val, moved = y, vy, True
-                t = min(t * 2.0, 1e6)
+            if vy < val - 1e-14 * (1.0 + abs(val)) and vy <= val + 1e-4 * lam * slope:
                 break
-            step *= 0.5
-        if not moved:
+        else:
             break
+        s = y - x
+        new_grad = _objective_gradient(prog, y)
+        sy = float(s @ (new_grad - grad))
+        alpha = min(max(-float(s @ prog.H @ s) / sy, 1e-12), 1e12) if sy > 0.0 else 1e12
+        x, val, grad = y, vy, new_grad
+        w_grad = metric @ grad
     return x, val
 
 
@@ -527,10 +532,11 @@ def _polish(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample
         for _ in range(2):
             starts.append(x + jitter * rng.normal(size=prog.n))
 
+    metric = np.linalg.inv(-prog.H)
     best_x = None
     best_val = np.inf
     for x0 in starts:
-        x, val = _descend(prog, x0)
+        x, val = _descend(prog, x0, metric)
         if val < best_val:
             best_x, best_val = x, val
 

@@ -159,7 +159,10 @@ import sys
 import fracdual as fd
 text = fd.serialize_instance(fd.generate_program(4, 2, seed=1021))
 prog = fd.parse_instance(text)
-print("scipy.linalg" in sys.modules)
+print([name for name in ("scipy.linalg", "fracdual.solver", "fracdual.oracle")
+       if name in sys.modules])
+from fracdual import *
+print([name for name in fd.__all__ if globals().get(name) is not getattr(fd, name)])
 payload = fd.result_payload(fd.solve(prog))
 payload["timings"] = dict.fromkeys(payload["timings"], 0.0)
 print(fd.canonical_text(payload), end="")
@@ -168,13 +171,17 @@ print(fd.canonical_text(payload), end="")
 
 def test_scipy_is_imported_by_the_first_solve():
     # generating, serializing and parsing never solve, so they must not pay
-    # for importing scipy.linalg; the lazily bound solve must not change
+    # for importing scipy.linalg, the solver or the oracle; every public
+    # name still resolves, and the lazily bound solve must not change
     src = str(Path(fd.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], capture_output=True,
                           text=True, check=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
-    loaded, text = done.stdout.split("\n", 1)
-    assert loaded == "False"
+    loaded, unresolved, text = done.stdout.split("\n", 2)
+    assert loaded == "[]"
+    assert unresolved == "[]"
+    with pytest.raises(AttributeError):
+        fd.no_such_name
     payload = fd.result_payload(fd.solve(fd.generate_program(4, 2, seed=1021)))
     payload["timings"] = dict.fromkeys(payload["timings"], 0.0)
     assert text == fd.canonical_text(payload)
