@@ -13,9 +13,13 @@ prints, as float hex:
                   kind (not the ascent's intermediate values, which the
                   solver does not keep).
 
-The last line is the sha256 of everything before it.  Two outputs that
-`diff` clean mean two versions of the solver are bit-identical there, and
-that their instance and result files are byte-identical.
+Then comes the sha256 of everything before it.  Two outputs with the same
+sha256 line mean two versions of the solver are bit-identical there, and
+that their instance and result files are byte-identical.  After it, and
+not covered by it, one line per workload counts the Cholesky
+factorizations its solves made, split into definite ones (numpy's
+cholesky returned) and failed ones (it raised); the script counts them by
+wrapping numpy.linalg.cholesky during each solve.
 
     python3 scripts/answer_digest.py --base 1000 > digest_1000.txt
     python3 scripts/answer_digest.py --root ../other-checkout --base 1000
@@ -36,8 +40,9 @@ how many instances end with P0 - LB <= tol_gap*(1+|P0|) on each side, and
 per workload each side's ascent iterations (summed n_iter over all slices),
 iteration-capped slices (n_iter equal to the default `max_iter`) and
 stalled slices (status MaxIterations with n_iter below it, perfbench's
-`solver.stalled_slices`), and the polish wins: the instances whose answer
-is a `Polished` slice (one whose P0 is the instance's).
+`solver.stalled_slices`), the polish wins: the instances whose answer is a
+`Polished` slice (one whose P0 is the instance's), and the Cholesky
+factorizations, definite and failed ("-" for a digest without them).
 It exits 1 when it listed any instance.
 """
 
@@ -49,6 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,9 +72,51 @@ def _kind(cert) -> str:
     return "-" if cert is None else cert.kind.value
 
 
-def instance_lines(fd, name: str, seed: int, text: str):
+# Lines of a digest that are neither instance nor slice lines.
+_TRAILER = ("sha256", "cholesky")
+
+
+class CholeskyTally:
+    """numpy.linalg.cholesky, wrapped to count per workload the calls that
+    returned (definite) and that raised (failed), inside `counting` only."""
+
+    def __init__(self, np) -> None:
+        self.counts: dict[str, list[int]] = {}
+        self._workload = None
+        cholesky = np.linalg.cholesky
+
+        def counted(*args, **kwargs):
+            if self._workload is None:
+                return cholesky(*args, **kwargs)
+            counts = self.counts.setdefault(self._workload, [0, 0])
+            try:
+                factor = cholesky(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                counts[1] += 1
+                raise
+            counts[0] += 1
+            return factor
+
+        np.linalg.cholesky = counted
+
+    @contextmanager
+    def counting(self, workload: str):
+        self.counts.setdefault(workload, [0, 0])
+        self._workload = workload
+        try:
+            yield
+        finally:
+            self._workload = None
+
+    def lines(self):
+        for name, (definite, failed) in self.counts.items():
+            yield f"cholesky {name} definite {definite} failed {failed}"
+
+
+def instance_lines(fd, name: str, seed: int, text: str, tally: CholeskyTally):
     prog = fd.parse_instance(text)
-    res = fd.solve(prog)
+    with tally.counting(name):
+        res = fd.solve(prog)
     yield (f"{name} {seed} P0 {float(res.P0_value).hex()} "
            f"cert {_kind(res.certificate)} x {_hex(res.x_star)} "
            f"lb {float(res.global_lower_bound).hex()}")
@@ -92,7 +140,7 @@ def _instances(lines) -> dict:
     table = {}
     for line in lines:
         tok = line.split()
-        if tok and not line.startswith(" ") and tok[0] != "sha256":
+        if tok and not line.startswith(" ") and tok[0] not in _TRAILER:
             table[tok[0], int(tok[1])] = (float.fromhex(tok[3]), tok[5], float.fromhex(tok[-1]))
     return table
 
@@ -102,7 +150,7 @@ def _iterations(lines, max_iter: int) -> dict:
     table = {}
     for line in lines:
         tok = line.split()
-        if not tok or tok[0] == "sha256":
+        if not tok or tok[0] in _TRAILER:
             continue
         if not line.startswith(" "):
             counts = table.setdefault(tok[0], [0, 0, 0])
@@ -119,7 +167,7 @@ def _polish_wins(lines) -> dict:
     table = {}
     for line in lines:
         tok = line.split()
-        if not tok or tok[0] == "sha256":
+        if not tok or tok[0] in _TRAILER:
             continue
         if not line.startswith(" "):
             name, seed, p0 = tok[0], int(tok[1]), tok[3]
@@ -127,6 +175,12 @@ def _polish_wins(lines) -> dict:
         elif tok[:1] == ["mu"] and tok[3:6] == ["Polished", "p0", p0]:
             table[name].append(seed)
     return table
+
+
+def _choleskys(lines) -> dict:
+    """workload -> (definite, failed) Cholesky factorizations of a digest."""
+    return {tok[1]: (int(tok[3]), int(tok[5]))
+            for tok in map(str.split, lines) if tok[:1] == ["cholesky"]}
 
 
 def against(old_lines, new_lines, opts) -> int:
@@ -164,6 +218,11 @@ def against(old_lines, new_lines, opts) -> int:
     for name, wins in sorted(_polish_wins(new_lines).items()):
         was = old_wins.get(name, [])
         print(f"{name}: polish wins DIGEST {len(was)} {was}, this run {len(wins)} {wins}")
+    old_chol = _choleskys(old_lines)
+    for name, (definite, failed) in _choleskys(new_lines).items():
+        was_definite, was_failed = old_chol.get(name, ("-", "-"))
+        print(f"{name}: Cholesky definite DIGEST {was_definite}, this run {definite}; "
+              f"failed DIGEST {was_failed}, this run {failed}")
     print(f"listed: {listed}")
     return 1 if listed else 0
 
@@ -180,19 +239,24 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(args.root.resolve() / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import numpy as np
     import fracdual as fd
     from workloads import WORKLOADS
 
+    tally = CholeskyTally(np)
     lines = [line for name in args.workload or list(WORKLOADS)
              for seed, text in WORKLOADS[name].texts(args.base)
-             for line in instance_lines(fd, name, seed, text)]
+             for line in instance_lines(fd, name, seed, text, tally)]
     if args.against is not None:
-        return against(args.against.read_text().splitlines(), lines, fd.SolverOptions())
+        return against(args.against.read_text().splitlines(), lines + list(tally.lines()),
+                       fd.SolverOptions())
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode() + b"\n")
         print(line)
     print(f"sha256 {digest.hexdigest()}")
+    for line in tally.lines():
+        print(line)
     return 0
 
 

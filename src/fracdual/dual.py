@@ -19,15 +19,16 @@ L^{-1}B'(Bx) and L^{-1}(Hx - b) the Hessian.  x is not refined: Cholesky
 is backward stable, a refinement step in working precision does not
 improve its forward error, and every certificate re-checks x a posteriori.
 
-B'B has rank m <= 3, so the instance does not store it: each
-factorization forms it from B once to assemble G, and the evaluation
-applies it as B'(Bx).  The solves call LAPACK's `trtrs` directly, with
-the arguments scipy's `solve_triangular` would pass; at n <= 8 its
-per-call checks cost several times the solve itself.  The handle is bound
-once, by the first positive definite factorization, the first factor that
-can be solved with: importing scipy.linalg is most of the cost of
-importing this package, and paths that never solve (generating, parsing,
-serializing) need not pay it.
+B'B has rank m <= 3, so the instance does not store it: an ascent forms
+it from B once and assembles G from it at every point it factorizes (a
+lone curvature_matrix call forms its own), and the evaluation applies it
+as B'(Bx).  The solves call LAPACK's `trtrs` directly, with the arguments
+scipy's `solve_triangular` would pass; at n <= 8 its per-call checks cost
+several times the solve itself.  The handle is bound once, by the first
+positive definite factorization, the first factor that can be solved
+with: importing scipy.linalg is most of the cost of importing this
+package, and paths that never solve (generating, parsing, serializing)
+need not pay it.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ from .problem import FractionalProgram, gram, pivot_floor
 # numerically untrustworthy even though the factorization succeeded.
 ILL_CONDITIONED_RTOL = 1e-4
 BOX_TOL = 1e-12
-# An eigenvalue of the pencil's congruent form this close (relative) to zero
-# leaves cone membership to Cholesky: well above the pencil's rounding error,
-# well below the pivot floor.
-INERTIA_RTOL = 1e-12
 
 # LAPACK trtrs, bound by _bind_lapack on the first definite factorization
 _trtrs = None
@@ -123,10 +120,18 @@ class DualEvaluation:
     ill_conditioned: bool
 
 
-def curvature_matrix(prog: FractionalProgram, point: DualPoint) -> CurvatureFactor:
-    """Assemble G at the dual point and attempt a Cholesky factorization."""
+def curvature_matrix(
+    prog: FractionalProgram, point: DualPoint, btb: np.ndarray | None = None
+) -> CurvatureFactor:
+    """Assemble G at the dual point and attempt a Cholesky factorization.
+
+    `btb` is gram(prog), passed by a caller that factorizes many points of
+    one instance; without it, B'B is formed here.
+    """
+    if btb is None:
+        btb = gram(prog)
     # Q + (mu*varsigma) B'B - sigma H, with one temporary fewer
-    G = (point.mu * point.varsigma) * gram(prog)
+    G = (point.mu * point.varsigma) * btb
     G += prog.Q
     G -= point.sigma * prog.H
     diag_scale = float(np.abs(G.diagonal()).max())
@@ -142,34 +147,6 @@ def curvature_matrix(prog: FractionalProgram, point: DualPoint) -> CurvatureFact
     if _trtrs is None:
         _bind_lapack()
     return CurvatureFactor(G, chol, True, min_pivot, diag_scale)
-
-
-def provably_indefinite(
-    prog: FractionalProgram, tau: np.ndarray, sigma: np.ndarray
-) -> np.ndarray:
-    """Mask of the points G = Q + tau B'B - sigma H that are surely not definite.
-
-    Batched over arrays tau (= mu*varsigma) and sigma.  With the pencil of
-    `prog`, G is congruent to D + tau U'U, D = diag(w + sigma), so by
-    Sylvester's law and Haynsworth's inertia additivity G has
-    neg(D) - sign(tau)*neg(C) negative eigenvalues, C = I + tau U D^-1 U'.
-    An eigenvalue of D or C within INERTIA_RTOL of zero (relative to the
-    terms that form it) leaves the point undecided, and undecided is False.
-    """
-    w, U = prog.pencil
-    D = w + sigma[:, None]
-    band = INERTIA_RTOL * (np.abs(w).max() + np.abs(sigma))[:, None]
-    neg_d = np.count_nonzero(D < -band, axis=1)
-    if prog.m == 0:
-        return neg_d > 0
-    decided = ~np.any(np.abs(D) <= band, axis=1)
-    inv_d = 1.0 / np.where(decided[:, None], D, 1.0)
-    C = np.eye(prog.m) + tau[:, None, None] * ((U * inv_d[:, None, :]) @ U.T)
-    ev = np.linalg.eigvalsh(C)
-    c_band = INERTIA_RTOL * (1.0 + np.abs(tau) * (np.abs(inv_d) @ (U * U).sum(axis=0)))
-    decided &= np.all(np.abs(ev) > c_band[:, None], axis=1)
-    neg_g = neg_d - np.sign(tau).astype(int) * np.count_nonzero(ev < 0.0, axis=1)
-    return decided & (neg_g > 0)
 
 
 def _in_box(prog: FractionalProgram, point: DualPoint) -> bool:

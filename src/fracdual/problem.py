@@ -89,7 +89,8 @@ class FractionalProgram:
 
     @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues w of the pencil (Q, -H) and U = B V, computed on first use.
+        """Eigenvalues w of the pencil (Q, -H), ascending, and U = B V,
+        computed on first use.
 
         With V'(-H)V = I and V'QV = diag(w), the curvature matrix
         Q + tau B'B - sigma H is congruent to diag(w + sigma) + tau U'U.

@@ -2,14 +2,21 @@
 
 Each subproblem is solved by projected Newton ascent on the two dual
 variables (Newton step, gradient fallback, backtracking that keeps iterates
-inside the positive definite cone, monotone in the dual value).  Backtracking
-factorizes the full step; once a trial falls outside the cone, the remaining
-halvings are screened by inertia through the instance's (Q, -H) pencil, and
-only trials not proven indefinite are factorized.  Each evaluation takes
-everything it needs (value, gradient, Hessian and the primal candidate)
-from four triangular solves with the factor's Cholesky L, made by LAPACK's
-`trtrs` directly through the handle bound in dual.py, so an ascent step at
-small n costs its arithmetic, not scipy's per-call checks.
+inside the positive definite cone, monotone in the dual value).  An ascent
+forms B'B once and assembles every curvature matrix it factorizes from it.
+The instance's (Q, -H) pencil keeps Cholesky off points it proves
+indefinite: the start ladder skips a rung when w + sigma has more
+negative entries than tau U'U can lift, and backtracking factorizes the
+full step, then, once a trial falls outside the cone, finds the cone edge
+along the search path by Newton's method on the root of the pencil's
+m x m secular equation, and skips the halvings the pencil proves to lie
+beyond it.  Cholesky and the pivot floor still decide every point that
+can be accepted, so the iterates are those of factorizing every trial.
+Each evaluation takes everything it needs (value, gradient, Hessian and
+the primal candidate) from four triangular solves with the factor's
+Cholesky L, made by LAPACK's `trtrs` directly through the handle bound in
+dual.py, so an ascent step at small n costs its arithmetic, not scipy's
+per-call checks.
 A step from an ill-conditioned iterate must rise by more than
 max(4 eps, 1e-3 tol_gap)(1 + |value|), elsewhere by anything: the line
 search stops at the first trial whose predicted rise grad.move (by
@@ -45,6 +52,7 @@ gap tolerance.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -59,7 +67,6 @@ from .dual import (
     canonical_measure,
     curvature_matrix,
     evaluate_dual,
-    provably_indefinite,
 )
 from .errors import AllSubproblemsFailedError, NoStartingPointError, WeakDualityError
 from .problem import (
@@ -68,6 +75,7 @@ from .problem import (
     eval_objective,
     eval_subproblem,
     eval_terms,
+    gram,
     is_feasible,
 )
 
@@ -118,12 +126,13 @@ class Certificate:
 
 @dataclass(frozen=True, slots=True)
 class MuSample:
-    """One evaluated sweep value: dual solution, certificate, and candidate."""
+    """One evaluated sweep value: dual solution, certificate, and the value
+    P0 of its feasible candidate.  The candidate itself is kept only while
+    solving; a result keeps the winner's, as x_star."""
 
     mu: float
     solution: DualSolution | None
     certificate: Certificate | None
-    x: np.ndarray | None
     p0: float | None
     note: str = ""
 
@@ -166,18 +175,111 @@ def _bounds(prog: FractionalProgram) -> np.ndarray:
     return np.array([-prog.lam, 0.0])
 
 
+# An eigenvalue of the pencil's congruent form this close (relative) to zero
+# leaves cone membership to Cholesky: well above the pencil's rounding error,
+# well below the pivot floor.
+INERTIA_RTOL = 1e-12
+
+
+def _inertia_band(w: np.ndarray, sigma: float) -> float:
+    # w ascends, so max|w| is at one of its ends
+    return INERTIA_RTOL * (max(-float(w[0]), float(w[-1])) + abs(sigma))
+
+
+def surely_negative(prog: FractionalProgram, sigma: float) -> int:
+    """How many entries of w + sigma lie below the pencil's rounding band.
+
+    G is congruent to D + tau U'U with D = diag(w + sigma), and tau U'U
+    adds at most m positive directions (none when tau <= 0), so a count
+    above m, or above 0 when tau <= 0, proves G indefinite at any such tau.
+    """
+    w, _ = prog.pencil
+    return bisect.bisect_left(w, -sigma - _inertia_band(w, sigma))
+
+
+def pencil_edge(
+    prog: FractionalProgram, tau: float, sigma: float
+) -> tuple[bool, float, float]:
+    """Whether the pencil proves G = Q + tau B'B - sigma H indefinite, and
+    the edge of the cone in tau at this sigma with its slope in sigma.
+
+    With D = diag(w + sigma) and K = U D^-1 U' (eigenvalues kappa, ascending),
+    Haynsworth's inertia additivity gives G neg(D) - neg(I + tau K) - zero(I
+    + tau K) negative eigenvalues for tau > 0, and neg(D) + neg(I + tau K)
+    for tau < 0.  So G is definite exactly for tau > edge, a root of the
+    secular equation det(I + tau K) = 0: edge = -1/kappa_max when D is
+    definite, -1/kappa_k when D has 1 <= k <= m negative entries, and +inf
+    when that kappa has the wrong sign or k > m.  The slope is d edge/d sigma
+    = kappa'/kappa^2, with kappa' = -|v'U D^-1|^2 for kappa's eigenvector v.
+
+    Returns (indefinite, edge, slope).  `indefinite` is True only when every
+    entry of D and the deciding eigenvalue 1 + tau*kappa lie outside
+    INERTIA_RTOL bands around zero: undecided is False.  An entry of D in
+    its band leaves edge and slope nan, an infinite edge leaves slope nan.
+    """
+    w, U = prog.pencil
+    m = prog.m
+    # w ascends: its first `neg` entries are below -sigma, and the entries
+    # of D nearest zero are the two on either side
+    neg = bisect.bisect_left(w, -sigma)
+    nearest = min(-(float(w[neg - 1]) + sigma) if neg else np.inf,
+                  float(w[neg]) + sigma if neg < prog.n else np.inf)
+    if nearest <= _inertia_band(w, sigma):
+        return False, np.nan, np.nan
+    if neg > m:
+        return True, np.inf, np.nan
+    if m == 0:
+        return False, -np.inf, np.nan
+    ud = U / (w + sigma)
+    K = ud @ U.T
+    if m == 1:
+        kappa, v = float(K[0, 0]), np.ones(1)
+    else:
+        kappas, vecs = np.linalg.eigh(K)
+        j = neg - 1 if neg else m - 1
+        kappa, v = float(kappas[j]), vecs[:, j]
+    rise = 1.0 + tau * kappa
+    # the sum of |U_ij|^2/|D_j| bounds the rounding of K: its trace, with
+    # the terms of the negative entries of D counted positive
+    weight = float(K.trace())
+    if neg:
+        weight -= 2.0 * float((ud[:, :neg] * U[:, :neg]).sum())
+    band = INERTIA_RTOL * (1.0 + abs(tau) * weight)
+    if neg:
+        indefinite = tau <= 0.0 or rise > band
+        finite = kappa < 0.0
+    else:
+        indefinite = rise < -band
+        finite = kappa > 0.0
+    if not finite:
+        return indefinite, (np.inf if neg else -np.inf), np.nan
+    dkappa = -float(np.square(v @ ud).sum())
+    return indefinite, -1.0 / kappa, dkappa / (kappa * kappa)
+
+
 def find_start(prog: FractionalProgram, mu: float) -> DualPoint:
     """Scan a coarse (varsigma, sigma) ladder for a definite starting point."""
-    return _start(prog, check_mu(prog, mu))[0]
+    return _start(prog, check_mu(prog, mu), None)[0]
 
 
-def _start(prog: FractionalProgram, mu: float) -> tuple[DualPoint, CurvatureFactor]:
-    """The first definite point of the start ladder, with its factor."""
+def _start(
+    prog: FractionalProgram, mu: float, btb: np.ndarray | None
+) -> tuple[DualPoint, CurvatureFactor]:
+    """The first definite point of the start ladder, with its factor, each
+    rung assembled from `btb` (curvature_matrix's argument).
+
+    A rung is factorized only when the pencil does not prove it indefinite:
+    at tau = mu*varsigma >= 0, more than m entries of w + sigma surely below
+    zero (any, at varsigma = 0) leave G a negative eigenvalue.
+    """
     for s_mult in (0.0, 1.0, 10.0, 100.0):
         sigma = s_mult * prog.sigma_scale
+        negative = surely_negative(prog, sigma)
         for v_mult in (0.0, 1.0, 10.0):
+            if negative > (prog.m if v_mult > 0.0 else 0):
+                continue
             point = DualPoint(mu, v_mult, sigma)
-            fac = curvature_matrix(prog, point)
+            fac = curvature_matrix(prog, point, btb)
             if fac.pd:
                 return point, fac
     raise NoStartingPointError(f"no definite dual point found at mu={mu:.6g}")
@@ -227,6 +329,7 @@ def _try_step(
     value: float,
     lo: np.ndarray,
     min_rise: float,
+    btb: np.ndarray | None = None,
 ):
     """Backtrack from the full step by halving until the dual rises enough.
 
@@ -235,27 +338,100 @@ def _try_step(
     with min_rise > 0 they stop at the first one whose predicted rise
     grad.move is at most min_rise, since by concavity its value rises by
     no more than that.  After the first trial found outside the cone, the
-    remaining trials are screened in one batch by inertia, and those proven
-    indefinite are not factorized; Cholesky still decides every trial that
-    could be accepted.
+    trials between it and the cone edge (_cone_step) are not factorized;
+    Cholesky still decides every trial that could be accepted.  Each trial
+    is assembled from `btb` (curvature_matrix's argument).
     """
     trials = np.maximum(d + _HALVINGS * step, lo)
     moves = trials - d
     rising = moves @ grad > min_rise if min_rise > 0.0 else moves.any(axis=1)
     count = len(trials) if rising.all() else int(rising.argmin())
-    skip = None
-    for k in range(count):
-        if skip is not None and skip[k]:
-            continue
+    k, bounded = 0, False
+    while k < count:
         point = DualPoint(mu, float(trials[k, 0]), float(trials[k, 1]))
-        fac = curvature_matrix(prog, point)
+        fac = curvature_matrix(prog, point, btb)
         if fac.pd:
             ev = evaluate_dual(prog, point, fac=fac)
             if ev.value > value + min_rise and ev.value >= value + 1e-4 * (grad @ moves[k]):
                 return trials[k], ev
-        elif skip is None:
-            skip = provably_indefinite(prog, mu * trials[:count, 0], trials[:count, 1])
+            k += 1
+        elif bounded:
+            k += 1
+        else:
+            bounded = True
+            k = _cone_step(prog, mu, d, step, lo, trials, k, count)
     return None
+
+
+def _cone_step(
+    prog: FractionalProgram,
+    mu: float,
+    d: np.ndarray,
+    step: np.ndarray,
+    lo: np.ndarray,
+    trials: np.ndarray,
+    out: int,
+    count: int,
+) -> int:
+    """The first trial after `out` that the pencil does not prove indefinite.
+
+    Trial k is the point max(d + t_k*step, lo) of the search path, t_k =
+    2^-k, and trial `out` failed Cholesky.  Once the pencil proves `out`
+    indefinite, the trials between it and the cone edge are the indefinite
+    ones: the path's first leg is a line from the definite d, along which
+    the cone is an interval; after a coordinate clamps at its bound, the
+    path moves the other one alone, and up (G grows in the Loewner order
+    and stays below G at `out`), or, when both coordinates move down, G
+    shrinks along the whole path.  So the search keeps a bracket, a trial
+    r the pencil proves indefinite and a trial hi it does not (or hi =
+    count), skips every trial up to r and returns hi once the two are
+    adjacent.  Rounding in the probes' choice moves no answer: each skipped
+    trial lies between two that pencil_edge's verdict proves indefinite.
+
+    The probes follow Newton's method on h(t) = edge(sigma(t)) - tau(t),
+    which is convex along each leg, because the cone is convex.  From an
+    indefinite trial, the tangent's root lies at or beyond the edge, so the
+    next probe is the first trial below it, and if that one is not proven
+    indefinite, the trial just above it.  Without a tangent root inside the
+    bracket, the next probe is the trial after r.  Returns the index of the first trial to
+    factorize, `count` when none is left.
+    """
+    start = [float(v) for v in d]
+    rate = [float(v) for v in step]
+    bound = [float(v) for v in lo]
+
+    def verdict(k: int) -> tuple[bool, float, float]:
+        return pencil_edge(prog, mu * float(trials[k, 0]), float(trials[k, 1]))
+
+    def newton(k: int, edge: float, slope: float) -> int:
+        """The first trial at or below the root of h's tangent at trial k, -1 if none."""
+        t = math.ldexp(1.0, -k)
+        # on the leg of trial k the clamped coordinates stay put
+        moving = [start[i] + t * rate[i] >= bound[i] for i in (0, 1)]
+        gain = slope * rate[1] * moving[1] - mu * rate[0] * moving[0]
+        if not (math.isfinite(edge) and gain > 0.0):
+            return -1
+        leg = max([0.0] + [(bound[i] - start[i]) / rate[i] for i in (0, 1) if not moving[i]])
+        lower = max(t - (edge - mu * float(trials[k, 0])) / gain, leg)
+        # t_j = 2^-j
+        return 1 - math.frexp(lower)[1] if lower > 0.0 else -1
+
+    indefinite, edge, slope = verdict(out)
+    if not indefinite:
+        return out + 1
+    r, hi, verify = out, count, False
+    guess = newton(out, edge, slope)
+    while r + 1 < hi:
+        k = min(guess, hi - 1) if guess > r else r + 1
+        indefinite, edge, slope = verdict(k)
+        if indefinite:
+            r, guess, verify = k, newton(k, edge, slope), False
+        else:
+            # the trial before the tangent's is past the edge unless rounding
+            # moved the root: probe it once, then walk up from r
+            verify = k == guess and not verify
+            hi, guess = k, (k - 1 if verify else -1)
+    return hi
 
 
 def _classify(
@@ -286,7 +462,8 @@ def _ascend(
     mu = check_mu(prog, mu)
     lo = _bounds(prog)
     lo_edge = lo + _BOUND_RTOL * (1.0 + np.abs(lo))
-    start, fac = _start(prog, mu)
+    btb = gram(prog)
+    start, fac = _start(prog, mu, btb)
     d = start.as_array()
     ev = evaluate_dual(prog, start, fac=fac)
     converged = False
@@ -304,9 +481,9 @@ def _ascend(
         floor = max(_NOISE_ULPS, _RISE_SHARE * opts.tol_gap) if ev.ill_conditioned else 0.0
         min_rise = floor * (1.0 + abs(ev.value))
         step = _ascent_direction(ev.hessian, pg, ~clamped)
-        moved = _try_step(prog, mu, d, step, grad, ev.value, lo, min_rise)
+        moved = _try_step(prog, mu, d, step, grad, ev.value, lo, min_rise, btb)
         if moved is None and (step != pg).any():
-            moved = _try_step(prog, mu, d, pg, grad, ev.value, lo, min_rise)
+            moved = _try_step(prog, mu, d, pg, grad, ev.value, lo, min_rise, btb)
         if moved is None:
             break
         d, ev = moved
@@ -390,12 +567,16 @@ def _snap_to_margin(prog: FractionalProgram, x: np.ndarray, bound: float) -> np.
     return prog.x_center + y * np.sqrt(max(target, 0.0) / q)
 
 
-def _solve_at_mu(prog: FractionalProgram, mu: float, opts: SolverOptions) -> MuSample:
+# A solved slice while solving: its sample and its feasible candidate, if any.
+_Slice = tuple[MuSample, "np.ndarray | None"]
+
+
+def _solve_at_mu(prog: FractionalProgram, mu: float, opts: SolverOptions) -> _Slice:
     try:
         sol, ev = _ascend(prog, mu, opts)
     except NoStartingPointError:
-        return MuSample(mu=mu, solution=None, certificate=None, x=None, p0=None,
-                        note="NoStartingPoint")
+        return MuSample(mu=mu, solution=None, certificate=None, p0=None,
+                        note="NoStartingPoint"), None
     cert = certify(prog, mu, sol, opts, ev)
     x = ev.x_candidate
     _, _, margin = eval_terms(prog, x)
@@ -405,20 +586,20 @@ def _solve_at_mu(prog: FractionalProgram, mu: float, opts: SolverOptions) -> MuS
         p0 = eval_objective(prog, x)
     else:
         x, p0 = None, None
-    return MuSample(mu=mu, solution=sol, certificate=cert, x=x, p0=p0)
+    return MuSample(mu=mu, solution=sol, certificate=cert, p0=p0), x
 
 
-def _select(samples: list[MuSample]) -> MuSample | None:
-    cands = [s for s in samples if s.p0 is not None]
+def _select(slices: list[_Slice]) -> _Slice | None:
+    cands = [c for c in slices if c[0].p0 is not None]
     if not cands:
         return None
-    best_p0 = min(s.p0 for s in cands)
+    best_p0 = min(s.p0 for s, _ in cands)
     tol = 1e-9 * (1.0 + abs(best_p0))
-    bucket = [s for s in cands if s.p0 <= best_p0 + tol]
+    bucket = [c for c in cands if c[0].p0 <= best_p0 + tol]
     bucket.sort(
-        key=lambda s: (
-            s.certificate is None or s.certificate.kind is not CertificateKind.PERFECT,
-            s.mu,
+        key=lambda c: (
+            c[0].certificate is None or c[0].certificate.kind is not CertificateKind.PERFECT,
+            c[0].mu,
         )
     )
     return bucket[0]
@@ -440,7 +621,7 @@ def _singleton_result(prog: FractionalProgram, opts: SolverOptions, t0: float) -
         feasibility_residual=margin - prog.mu0_inv,
         kind=CertificateKind.PERFECT,
     )
-    sample = MuSample(mu=prog.mu0, solution=None, certificate=cert, x=x, p0=p0,
+    sample = MuSample(mu=prog.mu0, solution=None, certificate=cert, p0=p0,
                       note="DirectSingleton")
     return SolveResult(
         x_star=x,
@@ -501,7 +682,7 @@ def _descend(prog: FractionalProgram, x0: np.ndarray, metric: np.ndarray):
     return x, val
 
 
-def _polish(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample]) -> None:
+def _polish(prog: FractionalProgram, opts: SolverOptions, slices: list[_Slice]) -> None:
     """Local descent of the original objective from the sweep candidates.
 
     Dual recovery can stop short of the subproblem optimum when the ascent
@@ -511,7 +692,7 @@ def _polish(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample
     on its own level slice so the reported certificate stays truthful.
     """
     cands = sorted(
-        ((s.p0, s.x) for s in samples if s.p0 is not None), key=lambda c: c[0]
+        ((s.p0, x) for s, x in slices if s.p0 is not None), key=lambda c: c[0]
     )
     if not cands:
         return
@@ -545,21 +726,21 @@ def _polish(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample
         return
     _, _, margin = eval_terms(prog, best_x)
     mu_hat = check_mu(prog, 1.0 / margin)
-    slice_sample = _solve_at_mu(prog, mu_hat, opts)
+    slice_sample, slice_x = _solve_at_mu(prog, mu_hat, opts)
     if slice_sample.p0 is not None and slice_sample.p0 < best_val:
-        samples.append(slice_sample)
+        slices.append((slice_sample, slice_x))
         return
     cert = slice_sample.certificate
-    samples.append(
+    slices.append((
         MuSample(
             mu=mu_hat,
             solution=slice_sample.solution,
             certificate=cert if cert is not None else _uncertified(prog, mu_hat, best_x),
-            x=best_x,
             p0=best_val,
             note="Polished",
-        )
-    )
+        ),
+        best_x,
+    ))
 
 
 def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
@@ -599,7 +780,7 @@ def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> tuple[f
     return s, crossing
 
 
-def _global_lower_bound(prog: FractionalProgram, samples: list[MuSample]) -> tuple[float, float]:
+def _global_lower_bound(prog: FractionalProgram, slices: list[_Slice]) -> tuple[float, float]:
     """Where in s = 1/mu the solved slices' lines bottom out, and the bound there.
 
     At tau = mu*varsigma and s = 1/mu a slice's dual value is A(tau, sigma)
@@ -611,7 +792,7 @@ def _global_lower_bound(prog: FractionalProgram, samples: list[MuSample]) -> tup
     lines' upper envelope over [delta, 1/mu0] is a lower bound on the
     objective over the whole region.  At least one sample must be solved.
     """
-    sols = [s.solution for s in samples if s.solution is not None]
+    sols = [s.solution for s, _ in slices if s.solution is not None]
     mu = np.array([sol.point.mu for sol in sols])
     tau = mu * np.array([sol.point.varsigma for sol in sols])
     slope = np.array([sol.point.sigma for sol in sols]) - 0.5 * tau * tau
@@ -619,9 +800,9 @@ def _global_lower_bound(prog: FractionalProgram, samples: list[MuSample]) -> tup
     return _envelope_min(intercept, slope, prog.delta, prog.mu0_inv)
 
 
-def _gap_closed(opts: SolverOptions, samples: list[MuSample], lower: float) -> bool:
+def _gap_closed(opts: SolverOptions, slices: list[_Slice], lower: float) -> bool:
     """True when the best feasible value is within tol_gap of the bound `lower`."""
-    upper = min((s.p0 for s in samples if s.p0 is not None), default=np.inf)
+    upper = min((s.p0 for s, _ in slices if s.p0 is not None), default=np.inf)
     return bool(np.isfinite(upper)) and upper - lower <= opts.tol_gap * (1.0 + abs(upper))
 
 
@@ -629,7 +810,7 @@ def _gap_closed(opts: SolverOptions, samples: list[MuSample], lower: float) -> b
 _MAX_CUTS = 12
 
 
-def _refine(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample]) -> bool:
+def _refine(prog: FractionalProgram, opts: SolverOptions, slices: list[_Slice]) -> bool:
     """Kelley's cutting planes on the dual bound D(s), convex in s = 1/mu.
 
     While the gap is open, solve the slice at the envelope's minimizer s*:
@@ -640,14 +821,14 @@ def _refine(prog: FractionalProgram, opts: SolverOptions, samples: list[MuSample
     that stopped short, and the loop ends.  Returns whether the gap closed.
     """
     for _ in range(_MAX_CUTS):
-        s, lower = _global_lower_bound(prog, samples)
-        if _gap_closed(opts, samples, lower):
+        s, lower = _global_lower_bound(prog, slices)
+        if _gap_closed(opts, slices, lower):
             return True
         mu = check_mu(prog, 1.0 / s)
-        if any(x.mu == mu for x in samples):
+        if any(x.mu == mu for x, _ in slices):
             return False
-        samples.append(_solve_at_mu(prog, mu, opts))
-    return _gap_closed(opts, samples, _global_lower_bound(prog, samples)[1])
+        slices.append(_solve_at_mu(prog, mu, opts))
+    return _gap_closed(opts, slices, _global_lower_bound(prog, slices)[1])
 
 
 def mu_grid(prog: FractionalProgram, grid: int) -> np.ndarray:
@@ -666,49 +847,49 @@ def solve(prog: FractionalProgram, opts: SolverOptions | None = None) -> SolveRe
     if prog.mu_interval.degenerate:
         return _singleton_result(prog, opts, t0)
 
-    samples = [_solve_at_mu(prog, float(m), opts) for m in mu_grid(prog, opts.grid)]
+    slices = [_solve_at_mu(prog, float(m), opts) for m in mu_grid(prog, opts.grid)]
     t_grid = time.perf_counter()
 
-    if all(s.solution is None for s in samples):
+    if all(s.solution is None for s, _ in slices):
         raise AllSubproblemsFailedError(
-            f"no subproblem produced a dual solution over {len(samples)} grid points"
+            f"no subproblem produced a dual solution over {len(slices)} grid points"
         )
 
     # The polish only lowers the best feasible value, so it does not run
     # once that value is within tol_gap of the global lower bound.
-    closed = _refine(prog, opts, samples)
+    closed = _refine(prog, opts, slices)
     t_refine = time.perf_counter()
 
     if not closed:
-        _polish(prog, opts, samples)
+        _polish(prog, opts, slices)
     t_polish = time.perf_counter()
 
-    best = _select(samples)
-    if best is None:
+    chosen = _select(slices)
+    if chosen is None:
         # Dual recovery never landed inside the feasible set; the margin peak
         # is always feasible, so report it as an uncertified incumbent.
         x = np.array(prog.x_center)
-        best = MuSample(
+        chosen = MuSample(
             mu=prog.mu0,
             solution=None,
             certificate=_uncertified(prog, prog.mu0, x),
-            x=x,
             p0=eval_objective(prog, x),
             note="FallbackCenter",
-        )
-        samples.append(best)
+        ), x
+        slices.append(chosen)
+    best, best_x = chosen
 
     cert = best.certificate
     dual_best = best.solution.value if best.solution is not None else cert.dual_value
-    _, lower = _global_lower_bound(prog, samples)
+    _, lower = _global_lower_bound(prog, slices)
     result = SolveResult(
-        x_star=np.array(best.x),
+        x_star=np.array(best_x),
         mu_star=best.mu,
         d_star=best.solution.point if best.solution is not None else DualPoint(best.mu, 0.0, 0.0),
         P0_value=float(best.p0),
         best_dual_value=float(dual_best),
         certificate=cert,
-        mu_profile=tuple(sorted(samples, key=lambda s: s.mu)),
+        mu_profile=tuple(sorted((s for s, _ in slices), key=lambda s: s.mu)),
         options=opts,
         timings={
             "total_s": time.perf_counter() - t0,

@@ -12,8 +12,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve, solve_triangular
 
 import fracdual as fd
-from fracdual import dual
-from fracdual.dual import DualPoint, provably_indefinite
+from fracdual import dual, solver
+from fracdual.dual import DualPoint
+from fracdual.problem import gram
 
 from conftest import make_reference
 
@@ -82,8 +83,8 @@ class TestLapackSolves:
 
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 1e6]))
     def test_curvature_matrix_matches_stored_gram(self, seed, conditioning):
-        # B'B is formed per factorization; it must equal, bit for bit, the
-        # symmetrized product that instances used to store
+        # B'B is formed per ascent, not stored; it must equal, bit for bit,
+        # the symmetrized product that instances used to store
         prog = fd.generate_program(1 + seed % 8, seed % 4, seed=seed, conditioning=conditioning)
         btb = prog.B.T @ prog.B
         btb_stored = 0.5 * (btb + btb.T)
@@ -95,6 +96,12 @@ class TestLapackSolves:
             fac = fd.curvature_matrix(prog, P(mu, vs, sg))
             expected = prog.Q + (mu * vs) * btb_stored - sg * prog.H
             assert_array_equal(_bits(fac.matrix), _bits(expected))
+            # an ascent passes B'B formed once; G and its factor are the same
+            shared = fd.curvature_matrix(prog, P(mu, vs, sg), gram(prog))
+            assert_array_equal(_bits(shared.matrix), _bits(fac.matrix))
+            assert shared.pd == fac.pd and shared.min_pivot == fac.min_pivot
+            if fac.pd:
+                assert_array_equal(_bits(shared.chol), _bits(fac.chol))
 
     def test_lapack_failure_raises(self, monkeypatch):
         prog = fd.generate_program(3, 1, seed=7)
@@ -416,20 +423,80 @@ def _cone_edge_points(prog, rows):
     return out
 
 
-@given(st.integers(0, 10_000), st.sampled_from([1.0, 1e6]))
-def test_inertia_mask_agrees_with_cholesky(seed, conditioning):
-    prog = fd.generate_program(1 + seed % 8, seed % 4, seed=seed, conditioning=conditioning)
-    rng = np.random.default_rng(seed)
-    rows = _mask_points(prog, rng)
-    rows = np.array(rows + _cone_edge_points(prog, rows[:5]))
-    tau, sigma = rows[:, 0] * rows[:, 1], rows[:, 2]
-    mask = provably_indefinite(prog, tau, sigma)
+def _search_paths(prog, rng, count=8):
+    """(mu, d, step) from definite points d, with steps long enough to leave
+    the cone, some of them clamped at the box."""
+    for _ in range(count):
+        mu = float(rng.uniform(prog.mu0, prog.mu_max))
+        d = fd.find_start(prog, mu).as_array()
+        scale = (1.0 + np.abs(d)) * 10.0 ** rng.uniform(-1.0, 2.0)
+        yield mu, d, rng.normal(size=2) * scale
+
+
+def _clearly(prog, mu, vs, sg, band_rtol=1e-4):
+    """Whether G's congruent form is clear of singular: every eigenvalue, and
+    every entry of diag(w + sigma), is farther than a band from zero."""
     w, U = prog.pencil
-    for (mu, vs, sg), t, indefinite in zip(rows, tau, mask):
+    tau = mu * vs
+    congruent = np.diag(w + sg) + tau * U.T @ U
+    band = band_rtol * (np.abs(w).max() + sg + abs(tau) * np.sum(U * U))
+    return min(np.abs(np.linalg.eigvalsh(congruent)).min(), np.abs(w + sg).min()) > band
+
+
+def _near_band_paths(prog, rng):
+    """(mu, d, step) at a sigma just outside the rounding band of an entry
+    w_j of the pencil while w_0 + sigma < 0, where K = U D^-1 U' is far
+    larger than its deciding eigenvalue.  d is definite; the path lowers
+    varsigma past zero."""
+    w, _ = prog.pencil
+    for j in range(1, min(prog.m, prog.n - 1) + 1):
+        sg = float(-w[j] + 2.0 * solver._inertia_band(w, -w[j]))
+        if not w[0] + sg < 0.0:
+            continue
+        mu = float(rng.uniform(prog.mu0, prog.mu_max))
+        for vs in 10.0 ** np.arange(-2.0, 13.0):
+            if fd.curvature_matrix(prog, P(mu, vs, sg)).pd:
+                yield mu, np.array([vs, sg]), np.array([-2.0 * vs, 0.0])
+                break
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 1e6]), st.integers(0, 3),
+       st.sampled_from([1, 2, 3, 5, 8, 64]))
+def test_inertia_mask_agrees_with_cholesky(seed, conditioning, m, n):
+    # every point a pencil shortcut skips fails Cholesky: the start ladder's
+    # rungs, the verdicts of pencil_edge and the trials the step bound skips
+    prog = fd.generate_program(n, m, seed=seed, conditioning=conditioning)
+    rng = np.random.default_rng(seed)
+    for mu in (prog.mu0, prog.mu_max):
+        for s_mult in (0.0, 1.0, 10.0, 100.0):
+            sigma = s_mult * prog.sigma_scale
+            for v_mult in (0.0, 1.0, 10.0):
+                if solver.surely_negative(prog, sigma) > (m if v_mult > 0.0 else 0):
+                    assert not fd.curvature_matrix(prog, P(mu, v_mult, sigma)).pd
+
+    rows = _mask_points(prog, rng)
+    for mu, vs, sg in rows + _cone_edge_points(prog, rows[:5]):
         pd = fd.curvature_matrix(prog, P(mu, vs, sg)).pd
+        indefinite = solver.pencil_edge(prog, mu * vs, sg)[0]
         assert not (pd and indefinite)
-        # away from a thin band around the cone edge the mask is exact
-        congruent = np.diag(w + sg) + t * U.T @ U
-        band = 1e-4 * (np.abs(w).max() + sg + abs(t) * np.sum(U * U))
-        if min(np.abs(np.linalg.eigvalsh(congruent)).min(), np.abs(w + sg).min()) > band:
+        # away from a thin band around the cone edge the verdict is exact
+        if _clearly(prog, mu, vs, sg):
             assert indefinite == (not pd)
+
+    # trials along search paths, among them paths at a sigma where K is far
+    # larger than the eigenvalue that decides the edge
+    lo, free = solver._bounds(prog), np.full(2, -np.inf)
+    paths = [(mu, d, step, lo) for mu, d, step in _search_paths(prog, rng)]
+    paths += [(mu, d, step, free) for mu, d, step in _near_band_paths(prog, rng)]
+    for mu, d, step, bound in paths:
+        trials = np.maximum(d + solver._HALVINGS * step, bound)
+        pd = [fd.curvature_matrix(prog, P(mu, *t)).pd for t in trials]
+        for (vs, sg), definite in zip(trials, pd):
+            assert not (definite and solver.pencil_edge(prog, mu * vs, sg)[0])
+        if pd[0]:
+            continue
+        first = solver._cone_step(prog, mu, d, step, bound, trials, 0, len(trials))
+        assert not any(pd[1:first])
+        # the first trial left to Cholesky is definite or near the edge
+        if first < len(trials) and not pd[first]:
+            assert not _clearly(prog, mu, *trials[first])

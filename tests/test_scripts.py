@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import fracdual as fd
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -45,12 +48,47 @@ sha256 00
 """
 
 
-def test_answer_digest_counts_the_answers_that_are_polished_slices(monkeypatch):
-    # an answer is a polish win when a Polished slice carries its P0; 1007's
-    # Polished slice lost to a Perfect one
+def _answer_digest(monkeypatch):
+    """scripts/answer_digest.py as a module (it pins BLAS to one thread)."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("answer_digest", SCRIPTS / "answer_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_answer_digest_counts_the_answers_that_are_polished_slices(monkeypatch):
+    # an answer is a polish win when a Polished slice carries its P0; 1007's
+    # Polished slice lost to a Perfect one
+    digest = _answer_digest(monkeypatch)
     assert digest._polish_wins(_DIGEST.splitlines()) == {"mixed": [1006], "large-n": []}
+
+
+def test_answer_digest_counts_the_choleskys_of_each_side(monkeypatch, capsys):
+    digest = _answer_digest(monkeypatch)
+    # the tally wraps numpy's cholesky; monkeypatch puts it back afterwards
+    monkeypatch.setattr(np.linalg, "cholesky", np.linalg.cholesky)
+    tally = digest.CholeskyTally(np)
+    text = fd.serialize_instance(fd.generate_program(3, 2, seed=1022))
+    lines = list(digest.instance_lines(fd, "mixed", 1022, text, tally))
+    np.linalg.cholesky(np.eye(2))  # outside a solve: not counted
+    with pytest.raises(np.linalg.LinAlgError):
+        with tally.counting("mixed"):
+            np.linalg.cholesky(-np.eye(2))
+    definite, failed = tally.counts["mixed"]
+    res = fd.solve(fd.parse_instance(text))
+    assert definite >= sum(s.solution.n_iter for s in res.mu_profile if s.solution) > 0
+    assert failed > 1
+    assert list(tally.lines()) == [f"cholesky mixed definite {definite} failed {failed}"]
+    assert not any(line.startswith("cholesky") for line in lines)
+
+    # --against reads the digest's counts after its sha256 line, "-" when absent
+    old = _DIGEST.splitlines() + ["cholesky mixed definite 7 failed 3"]
+    new = _DIGEST.splitlines()[:-1] + ["cholesky mixed definite 7 failed 1",
+                                        "cholesky large-n definite 2 failed 0"]
+    assert digest.against(old, new, fd.SolverOptions()) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mixed: Cholesky definite DIGEST 7, this run 7; failed DIGEST 3, this run 1" in out
+    assert "large-n: Cholesky definite DIGEST -, this run 2; failed DIGEST -, this run 0" in out
+    assert out[-1] == "listed: 0"

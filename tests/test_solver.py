@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import fracdual as fd
 from fracdual import dual, solver
 from fracdual.dual import DualPoint
+from fracdual.problem import gram
 from fracdual.solver import (
     AscentStatus,
     CertificateKind,
@@ -34,8 +35,8 @@ def _record_steps(monkeypatch) -> list:
     steps = []
     try_step = solver._try_step
 
-    def spy(prog, mu, d, step, grad, value, lo, min_rise):
-        moved = try_step(prog, mu, d, step, grad, value, lo, min_rise)
+    def spy(prog, mu, d, step, grad, value, lo, min_rise, btb=None):
+        moved = try_step(prog, mu, d, step, grad, value, lo, min_rise, btb)
         if moved is not None:
             steps.append((value, moved[1].value))
         return moved
@@ -154,14 +155,15 @@ class TestAscent:
         assert cert.kind is CertificateKind.NONE
 
 
-@pytest.mark.parametrize(
-    "seed, conditioning", [(1006, 1.0), (1021, 1.0), (1022, 1.0), (1027, 1e6)]
-)
-def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
-    # heavy-backtracking instances: screening trials by inertia must skip
-    # factorizations without moving a single iterate
-    prog = fd.generate_program(1 + seed % 6, seed % 4, seed=seed, conditioning=conditioning)
-    mus = np.linspace(prog.mu0, prog.mu_max, 4)
+def _without_pencil_shortcuts(monkeypatch):
+    """Factorize every ladder rung and every line-search trial."""
+    monkeypatch.setattr(solver, "surely_negative", lambda prog, sigma: 0)
+    monkeypatch.setattr(
+        solver, "_cone_step", lambda prog, mu, d, step, lo, trials, out, count: out + 1
+    )
+
+
+def _count_factorizations(monkeypatch) -> dict:
     factorized = {"calls": 0}
     cholesky = solver.curvature_matrix
 
@@ -170,6 +172,19 @@ def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
         return cholesky(*args)
 
     monkeypatch.setattr(solver, "curvature_matrix", counted)
+    return factorized
+
+
+@pytest.mark.parametrize(
+    "seed, conditioning", [(1006, 1.0), (1021, 1.0), (1022, 1.0), (1027, 1e6)]
+)
+def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
+    # heavy-backtracking instances: skipping the ladder rungs and the
+    # line-search trials that the pencil proves indefinite must skip
+    # factorizations without moving a single iterate
+    prog = fd.generate_program(1 + seed % 6, seed % 4, seed=seed, conditioning=conditioning)
+    mus = np.linspace(prog.mu0, prog.mu_max, 4)
+    factorized = _count_factorizations(monkeypatch)
     steps = _record_steps(monkeypatch)
 
     def ascents():
@@ -181,9 +196,7 @@ def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
 
     screened = ascents()
     screened_calls = factorized["calls"]
-    monkeypatch.setattr(
-        solver, "provably_indefinite", lambda prog, tau, sigma: np.zeros(len(tau), bool)
-    )
+    _without_pencil_shortcuts(monkeypatch)
     factorized["calls"] = 0
     admitted = ascents()
     assert screened_calls < factorized["calls"]
@@ -194,6 +207,91 @@ def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
         assert a.status is b.status
         assert a.n_iter - 1 <= len(a_steps) <= a.n_iter
         assert a_steps == b_steps
+
+
+class TestPencilShortcuts:
+    @pytest.mark.parametrize("prog", [
+        make_far_start(),
+        *(fd.generate_program(1 + s % 6, s % 4, seed=s) for s in range(1000, 1012)),
+        *(fd.generate_program(n, m, seed=1000 + n + m) for n in (64, 128) for m in (1, 2)),
+        fd.generate_program(3, 2, seed=1034, conditioning=1e6),
+    ])
+    def test_screened_ladder_matches_the_full_ladder(self, prog, monkeypatch):
+        # the same first definite rung, with the same factor, bit for bit
+        btb = gram(prog)
+        mus = (prog.mu0, 0.5 * (prog.mu0 + prog.mu_max), prog.mu_max)
+        screened = [solver._start(prog, mu, btb) for mu in mus]
+        monkeypatch.setattr(solver, "surely_negative", lambda prog, sigma: 0)
+        for (point, fac), mu in zip(screened, mus):
+            full_point, full_fac = solver._start(prog, mu, btb)
+            assert point == full_point
+            np.testing.assert_array_equal(fac.matrix, full_fac.matrix)
+            np.testing.assert_array_equal(fac.chol, full_fac.chol)
+            assert fac.min_pivot == full_fac.min_pivot
+
+    @pytest.mark.parametrize("m, seed", [(1, 1064), (2, 1065)])
+    def test_solve_is_bitwise_the_same_without_the_shortcuts(self, m, seed, monkeypatch):
+        prog = fd.generate_program(64, m, seed=seed)
+        factorized = _count_factorizations(monkeypatch)
+
+        def answer():
+            factorized["calls"] = 0
+            res = fd.solve(prog, fd.SolverOptions(grid=16))
+            payload = fd.result_payload(res)
+            payload["timings"] = {}
+            rows = [(s.mu, s.p0, s.solution and (s.solution.point, s.solution.n_iter))
+                    for s in res.mu_profile]
+            return fd.canonical_text(payload), res.x_star.tobytes(), rows, factorized["calls"]
+
+        *screened, screened_calls = answer()
+        _without_pencil_shortcuts(monkeypatch)
+        *full, full_calls = answer()
+        assert screened == full
+        assert screened_calls < full_calls
+
+    def test_an_instance_without_the_well_is_covered(self, monkeypatch):
+        # m = 0: U has no rows, and the cone is sigma > -min(w); on this
+        # instance line searches leave the cone and the step bound skips trials
+        prog = fd.generate_program(3, 0, seed=1028)
+        assert prog.m == 0 and prog.pencil[1].shape == (0, 3)
+        mus = np.linspace(prog.mu0, prog.mu_max, 6)
+        factorized = _count_factorizations(monkeypatch)
+        cone_step, skipped = solver._cone_step, []
+
+        def counted_skips(*args):
+            first = cone_step(*args)
+            skipped.append(first - args[6] - 1)
+            return first
+
+        monkeypatch.setattr(solver, "_cone_step", counted_skips)
+        screened = [fd.maximize_dual(prog, mu) for mu in mus]
+        screened_calls = factorized["calls"]
+        assert sum(skipped) > 0
+        _without_pencil_shortcuts(monkeypatch)
+        factorized["calls"] = 0
+        full = [fd.maximize_dual(prog, mu) for mu in mus]
+        assert screened == full
+        assert screened_calls < factorized["calls"]
+
+    def test_a_search_path_clamped_at_sigma_zero(self):
+        # a step whose sigma reaches its bound 0 before the full step: the
+        # path bends there, and the trials skipped past the edge on either
+        # leg all fail Cholesky
+        prog = fd.generate_program(64, 2, seed=1000)
+        mu = prog.mu0
+        d = fd.find_start(prog, mu).as_array()
+        lo = solver._bounds(prog)
+        checked = 0
+        for step in ([0.5, -1.5 * d[1]], [-0.4, -1.9 * d[1]], [2.0, -1.2 * d[1]]):
+            step = np.array(step)
+            trials = np.maximum(d + solver._HALVINGS * step, lo)
+            assert trials[0, 1] == 0.0 < trials[1, 1]
+            pd = [fd.curvature_matrix(prog, DualPoint(mu, *t)).pd for t in trials]
+            assert not pd[0]
+            # exactly the trials outside the cone are skipped
+            assert solver._cone_step(prog, mu, d, step, lo, trials, 0, len(trials)) == pd.index(True)
+            checked += not pd[1]
+        assert checked
 
 
 class TestNoiseFloor:
@@ -229,9 +327,9 @@ class TestNoiseFloor:
         cholesky = solver.curvature_matrix
         factorized = []
 
-        def counted(prog, point):
+        def counted(prog, point, btb=None):
             factorized.append(point.as_array())
-            return cholesky(prog, point)
+            return cholesky(prog, point, btb)
 
         monkeypatch.setattr(solver, "curvature_matrix", counted)
         # an unreachable target rejects every trial the floor lets through
@@ -312,7 +410,7 @@ class TestRiseFloor:
         try_step = solver._try_step
 
         def spy(*args):
-            floors.append(args[-1])
+            floors.append(args[7])  # min_rise
             return try_step(*args)
 
         monkeypatch.setattr(solver, "_try_step", spy)
@@ -337,6 +435,15 @@ def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
 
     monkeypatch.setattr(solver, "curvature_matrix", counted)
     monkeypatch.setattr(dual, "curvature_matrix", counted)
+    # and every Cholesky factorization goes through curvature_matrix
+    choleskys = {"n": 0}
+    numpy_cholesky = np.linalg.cholesky
+
+    def counted_cholesky(a):
+        choleskys["n"] += 1
+        return numpy_cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     per_ascent = []
     ascend = solver._ascend
 
@@ -350,7 +457,7 @@ def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
     monkeypatch.setattr(solver, "_ascend", spy)
     res = fd.solve(prog, fd.SolverOptions(grid=12))
     assert len(per_ascent) >= 12 and min(per_ascent) > 0
-    assert calls["n"] == sum(per_ascent)
+    assert calls["n"] == sum(per_ascent) == choleskys["n"]
     assert any(s.note == "Polished" for s in res.mu_profile)
 
 
