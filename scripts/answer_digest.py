@@ -18,8 +18,11 @@ sha256 line mean two versions of the solver are bit-identical there, and
 that their instance and result files are byte-identical.  After it, and
 not covered by it, one line per workload counts the Cholesky
 factorizations its solves made, split into definite ones (numpy's
-cholesky returned) and failed ones (it raised); the script counts them by
-wrapping numpy.linalg.cholesky during each solve.
+cholesky returned) and failed ones (it raised), and then one line per
+workload counts the pencil verdicts its solves asked for ("-" for a
+checkout without fracdual.solver.pencil_indefinite); the script counts
+them by wrapping numpy.linalg.cholesky and pencil_indefinite during each
+solve.
 
     python3 scripts/answer_digest.py --base 1000 > digest_1000.txt
     python3 scripts/answer_digest.py --root ../other-checkout --base 1000
@@ -41,8 +44,9 @@ per workload each side's ascent iterations (summed n_iter over all slices),
 iteration-capped slices (n_iter equal to the default `max_iter`) and
 stalled slices (status MaxIterations with n_iter below it, perfbench's
 `solver.stalled_slices`), the polish wins: the instances whose answer is a
-`Polished` slice (one whose P0 is the instance's), and the Cholesky
-factorizations, definite and failed ("-" for a digest without them).
+`Polished` slice (one whose P0 is the instance's), the Cholesky
+factorizations, definite and failed, and the pencil verdicts ("-" for a
+digest without them).
 It exits 1 when it listed any instance.
 """
 
@@ -54,7 +58,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
-from contextlib import contextmanager  # noqa: E402
+from contextlib import ExitStack, contextmanager  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,16 +77,35 @@ def _kind(cert) -> str:
 
 
 # Lines of a digest that are neither instance nor slice lines.
-_TRAILER = ("sha256", "cholesky")
+_TRAILER = ("sha256", "cholesky", "pencil")
 
 
-class CholeskyTally:
+class _Tally:
+    """Per-workload counts of the calls made inside `counting` only."""
+
+    def __init__(self) -> None:
+        self.counts: dict = {}
+        self._workload = None
+
+    def _zero(self):
+        return 0
+
+    @contextmanager
+    def counting(self, workload: str):
+        self.counts.setdefault(workload, self._zero())
+        self._workload = workload
+        try:
+            yield
+        finally:
+            self._workload = None
+
+
+class CholeskyTally(_Tally):
     """numpy.linalg.cholesky, wrapped to count per workload the calls that
     returned (definite) and that raised (failed), inside `counting` only."""
 
     def __init__(self, np) -> None:
-        self.counts: dict[str, list[int]] = {}
-        self._workload = None
+        super().__init__()
         cholesky = np.linalg.cholesky
 
         def counted(*args, **kwargs):
@@ -99,23 +122,43 @@ class CholeskyTally:
 
         np.linalg.cholesky = counted
 
-    @contextmanager
-    def counting(self, workload: str):
-        self.counts.setdefault(workload, [0, 0])
-        self._workload = workload
-        try:
-            yield
-        finally:
-            self._workload = None
+    def _zero(self):
+        return [0, 0]
 
     def lines(self):
         for name, (definite, failed) in self.counts.items():
             yield f"cholesky {name} definite {definite} failed {failed}"
 
 
-def instance_lines(fd, name: str, seed: int, text: str, tally: CholeskyTally):
+class VerdictTally(_Tally):
+    """The solver module's pencil_indefinite, wrapped to count per workload
+    its calls inside `counting` only; every count is "-" for a solver
+    without it."""
+
+    def __init__(self, solver) -> None:
+        super().__init__()
+        verdict = getattr(solver, "pencil_indefinite", None)
+        self.present = verdict is not None
+        if not self.present:
+            return
+
+        def counted(*args, **kwargs):
+            if self._workload is not None:
+                self.counts[self._workload] += 1
+            return verdict(*args, **kwargs)
+
+        solver.pencil_indefinite = counted
+
+    def lines(self):
+        for name, verdicts in self.counts.items():
+            yield f"pencil {name} verdicts {verdicts if self.present else '-'}"
+
+
+def instance_lines(fd, name: str, seed: int, text: str, *tallies: _Tally):
     prog = fd.parse_instance(text)
-    with tally.counting(name):
+    with ExitStack() as stack:
+        for tally in tallies:
+            stack.enter_context(tally.counting(name))
         res = fd.solve(prog)
     yield (f"{name} {seed} P0 {float(res.P0_value).hex()} "
            f"cert {_kind(res.certificate)} x {_hex(res.x_star)} "
@@ -183,6 +226,11 @@ def _choleskys(lines) -> dict:
             for tok in map(str.split, lines) if tok[:1] == ["cholesky"]}
 
 
+def _verdicts(lines) -> dict:
+    """workload -> pencil verdicts of a digest, as printed ("-" when unknown)."""
+    return {tok[1]: tok[3] for tok in map(str.split, lines) if tok[:1] == ["pencil"]}
+
+
 def against(old_lines, new_lines, opts) -> int:
     tol_gap = opts.tol_gap
     new = _instances(new_lines)
@@ -223,6 +271,10 @@ def against(old_lines, new_lines, opts) -> int:
         was_definite, was_failed = old_chol.get(name, ("-", "-"))
         print(f"{name}: Cholesky definite DIGEST {was_definite}, this run {definite}; "
               f"failed DIGEST {was_failed}, this run {failed}")
+    old_verdicts = _verdicts(old_lines)
+    for name, verdicts in _verdicts(new_lines).items():
+        print(f"{name}: pencil verdicts DIGEST {old_verdicts.get(name, '-')}, "
+              f"this run {verdicts}")
     print(f"listed: {listed}")
     return 1 if listed else 0
 
@@ -241,21 +293,23 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import numpy as np
     import fracdual as fd
+    import fracdual.solver
     from workloads import WORKLOADS
 
-    tally = CholeskyTally(np)
+    tallies = (CholeskyTally(np), VerdictTally(fracdual.solver))
     lines = [line for name in args.workload or list(WORKLOADS)
              for seed, text in WORKLOADS[name].texts(args.base)
-             for line in instance_lines(fd, name, seed, text, tally)]
+             for line in instance_lines(fd, name, seed, text, *tallies)]
+    trailer = [line for tally in tallies for line in tally.lines()]
     if args.against is not None:
-        return against(args.against.read_text().splitlines(), lines + list(tally.lines()),
+        return against(args.against.read_text().splitlines(), lines + trailer,
                        fd.SolverOptions())
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode() + b"\n")
         print(line)
     print(f"sha256 {digest.hexdigest()}")
-    for line in tally.lines():
+    for line in trailer:
         print(line)
     return 0
 

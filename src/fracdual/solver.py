@@ -5,13 +5,12 @@ variables (Newton step, gradient fallback, backtracking that keeps iterates
 inside the positive definite cone, monotone in the dual value).  An ascent
 forms B'B once and assembles every curvature matrix it factorizes from it.
 The instance's (Q, -H) pencil keeps Cholesky off points it proves
-indefinite: the start ladder skips a rung when w + sigma has more
-negative entries than tau U'U can lift, and backtracking factorizes the
-full step, then, once a trial falls outside the cone, finds the cone edge
-along the search path by Newton's method on the root of the pencil's
-m x m secular equation, and skips the halvings the pencil proves to lie
-beyond it.  Cholesky and the pivot floor still decide every point that
-can be accepted, so the iterates are those of factorizing every trial.
+indefinite, by one verdict (pencil_indefinite): the start ladder skips the
+rungs it proves indefinite, and backtracking factorizes the full step,
+then, once a trial falls outside the cone, bisects the halvings for the
+cone edge and skips those the verdict proves to lie beyond it.  Cholesky
+and the pivot floor still decide every point that can be accepted, so the
+iterates are those of factorizing every trial.
 Each evaluation takes everything it needs (value, gradient, Hessian and
 the primal candidate) from four triangular solves with the factor's
 Cholesky L, made by LAPACK's `trtrs` directly through the handle bound in
@@ -186,36 +185,19 @@ def _inertia_band(w: np.ndarray, sigma: float) -> float:
     return INERTIA_RTOL * (max(-float(w[0]), float(w[-1])) + abs(sigma))
 
 
-def surely_negative(prog: FractionalProgram, sigma: float) -> int:
-    """How many entries of w + sigma lie below the pencil's rounding band.
-
-    G is congruent to D + tau U'U with D = diag(w + sigma), and tau U'U
-    adds at most m positive directions (none when tau <= 0), so a count
-    above m, or above 0 when tau <= 0, proves G indefinite at any such tau.
-    """
-    w, _ = prog.pencil
-    return bisect.bisect_left(w, -sigma - _inertia_band(w, sigma))
-
-
-def pencil_edge(
-    prog: FractionalProgram, tau: float, sigma: float
-) -> tuple[bool, float, float]:
-    """Whether the pencil proves G = Q + tau B'B - sigma H indefinite, and
-    the edge of the cone in tau at this sigma with its slope in sigma.
+def pencil_indefinite(prog: FractionalProgram, tau: float, sigma: float) -> bool:
+    """Whether the pencil proves G = Q + tau B'B - sigma H indefinite.
 
     With D = diag(w + sigma) and K = U D^-1 U' (eigenvalues kappa, ascending),
     Haynsworth's inertia additivity gives G neg(D) - neg(I + tau K) - zero(I
     + tau K) negative eigenvalues for tau > 0, and neg(D) + neg(I + tau K)
-    for tau < 0.  So G is definite exactly for tau > edge, a root of the
-    secular equation det(I + tau K) = 0: edge = -1/kappa_max when D is
-    definite, -1/kappa_k when D has 1 <= k <= m negative entries, and +inf
-    when that kappa has the wrong sign or k > m.  The slope is d edge/d sigma
-    = kappa'/kappa^2, with kappa' = -|v'U D^-1|^2 for kappa's eigenvector v.
+    for tau <= 0.  So G is indefinite when D has more than m negative
+    entries, or any and tau <= 0, and definite when D has none and tau >= 0;
+    otherwise the sign of 1 + tau*kappa decides, for kappa = kappa_k when D
+    has 1 <= k <= m negative entries and kappa_max when it has none.
 
-    Returns (indefinite, edge, slope).  `indefinite` is True only when every
-    entry of D and the deciding eigenvalue 1 + tau*kappa lie outside
-    INERTIA_RTOL bands around zero: undecided is False.  An entry of D in
-    its band leaves edge and slope nan, an infinite edge leaves slope nan.
+    True only when every entry of D and that 1 + tau*kappa lie outside
+    INERTIA_RTOL bands around zero: undecided is False.
     """
     w, U = prog.pencil
     m = prog.m
@@ -225,19 +207,15 @@ def pencil_edge(
     nearest = min(-(float(w[neg - 1]) + sigma) if neg else np.inf,
                   float(w[neg]) + sigma if neg < prog.n else np.inf)
     if nearest <= _inertia_band(w, sigma):
-        return False, np.nan, np.nan
-    if neg > m:
-        return True, np.inf, np.nan
-    if m == 0:
-        return False, -np.inf, np.nan
+        return False
+    if neg > m or (neg and tau <= 0.0):
+        return True
+    if m == 0 or (not neg and tau >= 0.0):
+        return False
     ud = U / (w + sigma)
     K = ud @ U.T
-    if m == 1:
-        kappa, v = float(K[0, 0]), np.ones(1)
-    else:
-        kappas, vecs = np.linalg.eigh(K)
-        j = neg - 1 if neg else m - 1
-        kappa, v = float(kappas[j]), vecs[:, j]
+    j = neg - 1 if neg else m - 1
+    kappa = float(K[0, 0]) if m == 1 else float(np.linalg.eigvalsh(K)[j])
     rise = 1.0 + tau * kappa
     # the sum of |U_ij|^2/|D_j| bounds the rounding of K: its trace, with
     # the terms of the negative entries of D counted positive
@@ -245,16 +223,7 @@ def pencil_edge(
     if neg:
         weight -= 2.0 * float((ud[:, :neg] * U[:, :neg]).sum())
     band = INERTIA_RTOL * (1.0 + abs(tau) * weight)
-    if neg:
-        indefinite = tau <= 0.0 or rise > band
-        finite = kappa < 0.0
-    else:
-        indefinite = rise < -band
-        finite = kappa > 0.0
-    if not finite:
-        return indefinite, (np.inf if neg else -np.inf), np.nan
-    dkappa = -float(np.square(v @ ud).sum())
-    return indefinite, -1.0 / kappa, dkappa / (kappa * kappa)
+    return rise > band if neg else rise < -band
 
 
 def find_start(prog: FractionalProgram, mu: float) -> DualPoint:
@@ -268,15 +237,12 @@ def _start(
     """The first definite point of the start ladder, with its factor, each
     rung assembled from `btb` (curvature_matrix's argument).
 
-    A rung is factorized only when the pencil does not prove it indefinite:
-    at tau = mu*varsigma >= 0, more than m entries of w + sigma surely below
-    zero (any, at varsigma = 0) leave G a negative eigenvalue.
+    A rung is factorized only when the pencil does not prove it indefinite.
     """
     for s_mult in (0.0, 1.0, 10.0, 100.0):
         sigma = s_mult * prog.sigma_scale
-        negative = surely_negative(prog, sigma)
         for v_mult in (0.0, 1.0, 10.0):
-            if negative > (prog.m if v_mult > 0.0 else 0):
+            if pencil_indefinite(prog, mu * v_mult, sigma):
                 continue
             point = DualPoint(mu, v_mult, sigma)
             fac = curvature_matrix(prog, point, btb)
@@ -338,9 +304,10 @@ def _try_step(
     with min_rise > 0 they stop at the first one whose predicted rise
     grad.move is at most min_rise, since by concavity its value rises by
     no more than that.  After the first trial found outside the cone, the
-    trials between it and the cone edge (_cone_step) are not factorized;
-    Cholesky still decides every trial that could be accepted.  Each trial
-    is assembled from `btb` (curvature_matrix's argument).
+    trials that the pencil proves to lie between it and the cone edge
+    (_cone_step) are not factorized; Cholesky still decides every trial
+    that could be accepted.  Each trial is assembled from `btb`
+    (curvature_matrix's argument).
     """
     trials = np.maximum(d + _HALVINGS * step, lo)
     moves = trials - d
@@ -359,78 +326,41 @@ def _try_step(
             k += 1
         else:
             bounded = True
-            k = _cone_step(prog, mu, d, step, lo, trials, k, count)
+            k = _cone_step(prog, mu, trials, k, count)
     return None
 
 
-def _cone_step(
-    prog: FractionalProgram,
-    mu: float,
-    d: np.ndarray,
-    step: np.ndarray,
-    lo: np.ndarray,
-    trials: np.ndarray,
-    out: int,
-    count: int,
-) -> int:
-    """The first trial after `out` that the pencil does not prove indefinite.
+def _cone_step(prog: FractionalProgram, mu: float, trials: np.ndarray, out: int, count: int) -> int:
+    """The trial after `out` to factorize next: the first past those the
+    pencil proves indefinite, `count` when none is left.
 
-    Trial k is the point max(d + t_k*step, lo) of the search path, t_k =
-    2^-k, and trial `out` failed Cholesky.  Once the pencil proves `out`
-    indefinite, the trials between it and the cone edge are the indefinite
-    ones: the path's first leg is a line from the definite d, along which
-    the cone is an interval; after a coordinate clamps at its bound, the
-    path moves the other one alone, and up (G grows in the Loewner order
-    and stays below G at `out`), or, when both coordinates move down, G
-    shrinks along the whole path.  So the search keeps a bracket, a trial
-    r the pencil proves indefinite and a trial hi it does not (or hi =
-    count), skips every trial up to r and returns hi once the two are
-    adjacent.  Rounding in the probes' choice moves no answer: each skipped
-    trial lies between two that pencil_edge's verdict proves indefinite.
-
-    The probes follow Newton's method on h(t) = edge(sigma(t)) - tau(t),
-    which is convex along each leg, because the cone is convex.  From an
-    indefinite trial, the tangent's root lies at or beyond the edge, so the
-    next probe is the first trial below it, and if that one is not proven
-    indefinite, the trial just above it.  Without a tangent root inside the
-    bracket, the next probe is the trial after r.  Returns the index of the first trial to
-    factorize, `count` when none is left.
+    Trial k is the point max(d + 2^-k step, lo) of the search path from the
+    definite d, and trial `out` failed Cholesky.  Once the pencil proves
+    `out` indefinite, the trials between it and the cone edge are the
+    indefinite ones: the path's first leg is a line from d, along which the
+    cone is an interval; after a coordinate clamps at its bound, the path
+    moves the other one alone, and up (G grows in the Loewner order and
+    stays below G at `out`), or, when both coordinates move down, G shrinks
+    along the whole path.  So a bisection of the trial index keeps a
+    bracket, a trial r the pencil proves indefinite and a trial hi it does
+    not (or hi = count), skips every trial up to r and returns hi once the
+    two are adjacent, after at most 1 + ceil(log2(count - out)) verdicts.
+    Rounding in the verdicts moves no answer: each skipped trial lies
+    between two that the pencil proves indefinite.
     """
-    start = [float(v) for v in d]
-    rate = [float(v) for v in step]
-    bound = [float(v) for v in lo]
 
-    def verdict(k: int) -> tuple[bool, float, float]:
-        return pencil_edge(prog, mu * float(trials[k, 0]), float(trials[k, 1]))
+    def proven(k: int) -> bool:
+        return pencil_indefinite(prog, mu * float(trials[k, 0]), float(trials[k, 1]))
 
-    def newton(k: int, edge: float, slope: float) -> int:
-        """The first trial at or below the root of h's tangent at trial k, -1 if none."""
-        t = math.ldexp(1.0, -k)
-        # on the leg of trial k the clamped coordinates stay put
-        moving = [start[i] + t * rate[i] >= bound[i] for i in (0, 1)]
-        gain = slope * rate[1] * moving[1] - mu * rate[0] * moving[0]
-        if not (math.isfinite(edge) and gain > 0.0):
-            return -1
-        leg = max([0.0] + [(bound[i] - start[i]) / rate[i] for i in (0, 1) if not moving[i]])
-        lower = max(t - (edge - mu * float(trials[k, 0])) / gain, leg)
-        # t_j = 2^-j
-        return 1 - math.frexp(lower)[1] if lower > 0.0 else -1
-
-    indefinite, edge, slope = verdict(out)
-    if not indefinite:
+    if not proven(out):
         return out + 1
-    r, hi, verify = out, count, False
-    guess = newton(out, edge, slope)
+    r, hi = out, count
     while r + 1 < hi:
-        k = min(guess, hi - 1) if guess > r else r + 1
-        indefinite, edge, slope = verdict(k)
-        if indefinite:
-            r, guess, verify = k, newton(k, edge, slope), False
+        k = (r + hi) // 2
+        if proven(k):
+            r = k
         else:
-            # the trial before the tangent's is past the edge unless rounding
-            # moved the root: probe it once, then walk up from r
-            verify = k == guess and not verify
-            hi, guess = k, (k - 1 if verify else -1)
+            hi = k
     return hi
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fracdual as fd
+from fracdual import solver
 from fracdual.cli import main
 
 from conftest import REFERENCE_MU, REFERENCE_P0, make_gap_case, make_reference
@@ -63,6 +64,15 @@ class TestSolve:
         path.write_text(fd.canonical_text(payload))
         assert main(["solve", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_no_starting_point_at_any_mu_exits_two(self, reference_file, capsys, monkeypatch):
+        def no_start(prog, mu, btb):
+            raise fd.NoStartingPointError(f"no definite dual point found at mu={mu:.6g}")
+
+        monkeypatch.setattr(solver, "_start", no_start)
+        assert main(["solve", str(reference_file)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not reference_file.with_suffix(".result.json").exists()
 
 
 class TestVerify:

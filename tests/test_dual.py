@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -464,20 +466,21 @@ def _near_band_paths(prog, rng):
        st.sampled_from([1, 2, 3, 5, 8, 64]))
 def test_inertia_mask_agrees_with_cholesky(seed, conditioning, m, n):
     # every point a pencil shortcut skips fails Cholesky: the start ladder's
-    # rungs, the verdicts of pencil_edge and the trials the step bound skips
+    # rungs, the verdicts of pencil_indefinite and the trials the cone step
+    # skips, which it finds by bisection
     prog = fd.generate_program(n, m, seed=seed, conditioning=conditioning)
     rng = np.random.default_rng(seed)
     for mu in (prog.mu0, prog.mu_max):
         for s_mult in (0.0, 1.0, 10.0, 100.0):
             sigma = s_mult * prog.sigma_scale
             for v_mult in (0.0, 1.0, 10.0):
-                if solver.surely_negative(prog, sigma) > (m if v_mult > 0.0 else 0):
+                if solver.pencil_indefinite(prog, mu * v_mult, sigma):
                     assert not fd.curvature_matrix(prog, P(mu, v_mult, sigma)).pd
 
     rows = _mask_points(prog, rng)
     for mu, vs, sg in rows + _cone_edge_points(prog, rows[:5]):
         pd = fd.curvature_matrix(prog, P(mu, vs, sg)).pd
-        indefinite = solver.pencil_edge(prog, mu * vs, sg)[0]
+        indefinite = solver.pencil_indefinite(prog, mu * vs, sg)
         assert not (pd and indefinite)
         # away from a thin band around the cone edge the verdict is exact
         if _clearly(prog, mu, vs, sg):
@@ -492,10 +495,13 @@ def test_inertia_mask_agrees_with_cholesky(seed, conditioning, m, n):
         trials = np.maximum(d + solver._HALVINGS * step, bound)
         pd = [fd.curvature_matrix(prog, P(mu, *t)).pd for t in trials]
         for (vs, sg), definite in zip(trials, pd):
-            assert not (definite and solver.pencil_edge(prog, mu * vs, sg)[0])
+            assert not (definite and solver.pencil_indefinite(prog, mu * vs, sg))
         if pd[0]:
             continue
-        first = solver._cone_step(prog, mu, d, step, bound, trials, 0, len(trials))
+        with mock.patch.object(solver, "pencil_indefinite",
+                               wraps=solver.pencil_indefinite) as verdict:
+            first = solver._cone_step(prog, mu, trials, 0, len(trials))
+        assert verdict.call_count <= 1 + math.ceil(math.log2(len(trials)))
         assert not any(pd[1:first])
         # the first trial left to Cholesky is definite or near the edge
         if first < len(trials) and not pd[first]:

@@ -2,12 +2,14 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracdual as fd
+from fracdual import solver
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -91,4 +93,41 @@ def test_answer_digest_counts_the_choleskys_of_each_side(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "mixed: Cholesky definite DIGEST 7, this run 7; failed DIGEST 3, this run 1" in out
     assert "large-n: Cholesky definite DIGEST -, this run 2; failed DIGEST -, this run 0" in out
+    assert out[-1] == "listed: 0"
+
+
+def test_answer_digest_counts_the_pencil_verdicts_of_each_side(monkeypatch, capsys):
+    digest = _answer_digest(monkeypatch)
+    # a spy under the tally's wrapper; monkeypatch puts both back afterwards
+    verdict, spied = solver.pencil_indefinite, []
+
+    def spy(*args):
+        spied.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(solver, "pencil_indefinite", spy)
+    monkeypatch.setattr(np.linalg, "cholesky", np.linalg.cholesky)
+    tallies = (digest.CholeskyTally(np), digest.VerdictTally(solver))
+    prog = fd.generate_program(3, 2, seed=1022)
+    lines = list(digest.instance_lines(fd, "mixed", 1022, fd.serialize_instance(prog), *tallies))
+    solver.pencil_indefinite(prog, 0.0, 0.0)  # outside a solve: not counted
+    asked = tallies[1].counts["mixed"]
+    assert 0 < asked == len(spied) - 1
+    assert tallies[0].counts["mixed"][1] > 0
+    assert list(tallies[1].lines()) == [f"pencil mixed verdicts {asked}"]
+    assert not any(line.startswith("pencil") for line in lines)
+
+    # a solver without the verdict counts nothing and prints "-"
+    absent = digest.VerdictTally(types.SimpleNamespace())
+    with absent.counting("large-n"):
+        pass
+    assert list(absent.lines()) == ["pencil large-n verdicts -"]
+
+    # --against prints both sides' counts, "-" when a side has none
+    old = _DIGEST.splitlines() + ["pencil mixed verdicts 12"]
+    new = _DIGEST.splitlines() + ["pencil mixed verdicts 20", "pencil large-n verdicts -"]
+    assert digest.against(old, new, fd.SolverOptions()) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mixed: pencil verdicts DIGEST 12, this run 20" in out
+    assert "large-n: pencil verdicts DIGEST -, this run -" in out
     assert out[-1] == "listed: 0"

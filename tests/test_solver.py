@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import mpmath
 import numpy as np
@@ -157,10 +158,19 @@ class TestAscent:
 
 def _without_pencil_shortcuts(monkeypatch):
     """Factorize every ladder rung and every line-search trial."""
-    monkeypatch.setattr(solver, "surely_negative", lambda prog, sigma: 0)
-    monkeypatch.setattr(
-        solver, "_cone_step", lambda prog, mu, d, step, lo, trials, out, count: out + 1
-    )
+    monkeypatch.setattr(solver, "pencil_indefinite", lambda prog, tau, sigma: False)
+
+
+def _no_start_below(cut: float):
+    """solver._start, failing with NoStartingPointError at every mu below `cut`."""
+    start = solver._start
+
+    def patched(prog, mu, btb):
+        if mu < cut:
+            raise fd.NoStartingPointError(f"no definite dual point found at mu={mu:.6g}")
+        return start(prog, mu, btb)
+
+    return patched
 
 
 def _count_factorizations(monkeypatch) -> dict:
@@ -221,7 +231,7 @@ class TestPencilShortcuts:
         btb = gram(prog)
         mus = (prog.mu0, 0.5 * (prog.mu0 + prog.mu_max), prog.mu_max)
         screened = [solver._start(prog, mu, btb) for mu in mus]
-        monkeypatch.setattr(solver, "surely_negative", lambda prog, sigma: 0)
+        _without_pencil_shortcuts(monkeypatch)
         for (point, fac), mu in zip(screened, mus):
             full_point, full_fac = solver._start(prog, mu, btb)
             assert point == full_point
@@ -260,7 +270,7 @@ class TestPencilShortcuts:
 
         def counted_skips(*args):
             first = cone_step(*args)
-            skipped.append(first - args[6] - 1)
+            skipped.append(first - args[3] - 1)
             return first
 
         monkeypatch.setattr(solver, "_cone_step", counted_skips)
@@ -289,7 +299,7 @@ class TestPencilShortcuts:
             pd = [fd.curvature_matrix(prog, DualPoint(mu, *t)).pd for t in trials]
             assert not pd[0]
             # exactly the trials outside the cone are skipped
-            assert solver._cone_step(prog, mu, d, step, lo, trials, 0, len(trials)) == pd.index(True)
+            assert solver._cone_step(prog, mu, trials, 0, len(trials)) == pd.index(True)
             checked += not pd[1]
         assert checked
 
@@ -563,6 +573,27 @@ class TestSolve:
         broken = dataclasses.replace(res, global_lower_bound=res.P0_value + 1e-3)
         with pytest.raises(fd.WeakDualityError):
             _weak_duality_floor(reference, broken)
+
+    def test_no_starting_point_at_any_mu_fails_the_solve(self, reference, monkeypatch):
+        monkeypatch.setattr(solver, "_start", _no_start_below(np.inf))
+        with pytest.raises(fd.AllSubproblemsFailedError):
+            fd.solve(reference, fd.SolverOptions(grid=12))
+
+    def test_slices_without_a_starting_point_are_recorded(self, reference, monkeypatch):
+        cut = 0.5 * (reference.mu0 + reference.mu_max)
+        monkeypatch.setattr(solver, "_start", _no_start_below(cut))
+        res = fd.solve(reference, fd.SolverOptions(grid=12))
+        failed = [s for s in res.mu_profile if s.note == "NoStartingPoint"]
+        assert 0 < len(failed) < len(res.mu_profile)
+        for s in failed:
+            assert s.mu < cut and s.solution is s.certificate is s.p0 is None
+        text = fd.serialize_result(res)
+        data = json.loads(text)
+        assert fd.canonical_text(data) == text
+        rows = [row for row in data["mu_profile"] if row["status"] == "NoStartingPoint"]
+        assert [row["mu"] for row in rows] == [s.mu for s in failed]
+        assert all(row["dual_value"] is None and row["certificate"] == "None" for row in rows)
+        assert fd.is_feasible(reference, res.x_star)
 
 
 def _brute_envelope_min(A, B, lo, hi):
