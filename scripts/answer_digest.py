@@ -17,12 +17,13 @@ Then comes the sha256 of everything before it.  Two outputs with the same
 sha256 line mean two versions of the solver are bit-identical there, and
 that their instance and result files are byte-identical.  After it, and
 not covered by it, one line per workload counts the Cholesky
-factorizations its solves made, split into definite ones (numpy's
-cholesky returned) and failed ones (it raised), and then one line per
-workload counts the pencil verdicts its solves asked for ("-" for a
-checkout without fracdual.solver.pencil_indefinite); the script counts
-them by wrapping numpy.linalg.cholesky and pencil_indefinite during each
-solve.
+factorizations its solves made, split into definite ones and failed
+ones, and then one line per workload counts the pencil verdicts its solves
+asked for ("-" for a checkout without fracdual.solver.pencil_indefinite);
+the script counts them by wrapping, during each solve, pencil_indefinite
+and the factorization: LAPACK's potrf as fracdual.dual calls it (info 0
+is definite, info > 0 failed), or numpy.linalg.cholesky for a checkout
+that factorizes with it (returned is definite, raised failed).
 
     python3 scripts/answer_digest.py --base 1000 > digest_1000.txt
     python3 scripts/answer_digest.py --root ../other-checkout --base 1000
@@ -101,17 +102,32 @@ class _Tally:
 
 
 class CholeskyTally(_Tally):
-    """numpy.linalg.cholesky, wrapped to count per workload the calls that
-    returned (definite) and that raised (failed), inside `counting` only."""
+    """The Cholesky factorizations of the solver, counted per workload inside
+    `counting` only: definite and failed.  A solver module `dual` that calls
+    LAPACK's potrf through its handle `_potrf` has that handle bound and
+    wrapped (info == 0 is definite, info > 0 failed); for an older one,
+    numpy.linalg.cholesky is wrapped (returned is definite, raised failed)."""
 
-    def __init__(self, np) -> None:
+    def __init__(self, np, dual) -> None:
         super().__init__()
+        if hasattr(dual, "_potrf"):
+            dual._bind_lapack()
+            potrf = dual._potrf
+
+            def counted(*args, **kwargs):
+                factor, info = potrf(*args, **kwargs)
+                if self._workload is not None:
+                    self.counts[self._workload][info > 0] += 1
+                return factor, info
+
+            dual._potrf = counted
+            return
         cholesky = np.linalg.cholesky
 
         def counted(*args, **kwargs):
             if self._workload is None:
                 return cholesky(*args, **kwargs)
-            counts = self.counts.setdefault(self._workload, [0, 0])
+            counts = self.counts[self._workload]
             try:
                 factor = cholesky(*args, **kwargs)
             except np.linalg.LinAlgError:
@@ -293,10 +309,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import numpy as np
     import fracdual as fd
+    import fracdual.dual
     import fracdual.solver
     from workloads import WORKLOADS
 
-    tallies = (CholeskyTally(np), VerdictTally(fracdual.solver))
+    tallies = (CholeskyTally(np, fracdual.dual), VerdictTally(fracdual.solver))
     lines = [line for name in args.workload or list(WORKLOADS)
              for seed, text in WORKLOADS[name].texts(args.base)
              for line in instance_lines(fd, name, seed, text, *tallies)]

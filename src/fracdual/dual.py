@@ -13,22 +13,23 @@ On the cone where G is positive definite the dual function
 is concave, bounds the subproblem from below, and recovers the primal
 candidate x(d) = G^{-1}c.  Interior critical points close the gap exactly.
 
-Every quantity comes from four triangular solves with the one Cholesky
+Every quantity comes from three triangular solves with the one Cholesky
 factor G = LL': z = L^{-1}c gives the value, x = L^{-T}z the primal, and
-L^{-1}B'(Bx) and L^{-1}(Hx - b) the Hessian.  x is not refined: Cholesky
-is backward stable, a refinement step in working precision does not
-improve its forward error, and every certificate re-checks x a posteriori.
+one solve of the n x 2 block [B'(Bx), Hx - b] the Hessian.  x is not
+refined: Cholesky is backward stable, a refinement step in working
+precision does not improve its forward error, and every certificate
+re-checks x a posteriori.
 
 B'B has rank m <= 3, so the instance does not store it: an ascent forms
 it from B once and assembles G from it at every point it factorizes (a
 lone curvature_matrix call forms its own), and the evaluation applies it
-as B'(Bx).  The solves call LAPACK's `trtrs` directly, with the arguments
-scipy's `solve_triangular` would pass; at n <= 8 its per-call checks cost
-several times the solve itself.  The handle is bound once, by the first
-positive definite factorization, the first factor that can be solved
-with: importing scipy.linalg is most of the cost of importing this
-package, and paths that never solve (generating, parsing, serializing)
-need not pay it.
+as B'(Bx).  The factorization and the solves call LAPACK's `potrf` and
+`trtrs` directly and read their `info`: at n <= 8, numpy's and scipy's
+per-call checks, and numpy's exception on an indefinite G, cost several
+times the arithmetic.  The handles are bound once, by the first
+factorization: importing scipy.linalg is most of the cost of importing
+this package, and paths that never factorize (generating, parsing,
+serializing) need not pay it.
 """
 
 from __future__ import annotations
@@ -45,15 +46,15 @@ from .problem import FractionalProgram, gram, pivot_floor
 ILL_CONDITIONED_RTOL = 1e-4
 BOX_TOL = 1e-12
 
-# LAPACK trtrs, bound by _bind_lapack on the first definite factorization
-_trtrs = None
+# LAPACK potrf and trtrs, bound by _bind_lapack on the first factorization
+_potrf = _trtrs = None
 
 
 def _bind_lapack() -> None:
-    global _trtrs
+    global _potrf, _trtrs
     from scipy.linalg.lapack import get_lapack_funcs
 
-    _trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
+    _potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +71,13 @@ class DualPoint:
 class CurvatureFactor:
     """Assembled curvature matrix with its Cholesky factor when definite.
 
-    chol is the C-ordered lower factor L, G = LL'.  min_pivot is the
-    smallest squared Cholesky pivot.  It is -inf when Cholesky met a
-    non-positive pivot; that pivot's value is not computed.  A factor
-    rejected by the pivot floor keeps its real (tiny) pivot.
-
-    The solves hand the C-ordered L to LAPACK as the Fortran-ordered L',
-    as scipy's solve_triangular(chol, rhs, lower=True, ...) does.
+    chol is the lower factor L, G = LL', as LAPACK's potrf returns it:
+    Fortran-ordered, its upper triangle zeroed.  The solves hand it to
+    trtrs as it is, with no copy, as scipy's solve_triangular(chol, rhs,
+    lower=True, ...) does.  min_pivot is the smallest squared Cholesky
+    pivot.  It is -inf when potrf met a non-positive pivot; that pivot's
+    value is not computed.  A factor rejected by the pivot floor keeps its
+    real (tiny) pivot.
     """
 
     matrix: np.ndarray
@@ -91,14 +92,14 @@ class CurvatureFactor:
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-1} rhs, so that |half_solve(c)|^2 = c'G^{-1}c."""
-        return self._tri_solve(rhs, trans=1)
+        return self._tri_solve(rhs, trans=0)
 
     def back_solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-T} rhs, so that back_solve(half_solve(c)) = G^{-1}c."""
-        return self._tri_solve(rhs, trans=0)
+        return self._tri_solve(rhs, trans=1)
 
     def _tri_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        z, info = _trtrs(self.chol.T, rhs, lower=0, trans=trans)
+        z, info = _trtrs(self.chol, rhs, lower=1, trans=trans)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular factor: zero pivot {info - 1}")
         if info < 0:
@@ -135,17 +136,19 @@ def curvature_matrix(
     G += prog.Q
     G -= point.sigma * prog.H
     diag_scale = float(np.abs(G.diagonal()).max())
-    try:
-        chol = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
+    if _potrf is None:
+        _bind_lapack()
+    # G is exactly symmetric, so G.T is G in the Fortran order potrf reads
+    chol, info = _potrf(G.T, lower=1)
+    if info > 0:
         return CurvatureFactor(G, None, False, -np.inf, diag_scale)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
     # the pivots sqrt(.) are >= 0, so the smallest square is the square of the smallest
     root = float(chol.diagonal().min())
     min_pivot = root * root
     if min_pivot <= pivot_floor(diag_scale):
         return CurvatureFactor(G, None, False, min_pivot, diag_scale)
-    if _trtrs is None:
-        _bind_lapack()
     return CurvatureFactor(G, chol, True, min_pivot, diag_scale)
 
 
@@ -192,8 +195,8 @@ def evaluate_dual(
     grad_vs = mu * (xi - vs)
     grad_sg = 1.0 / mu - h_at_x
 
-    zu = fac.half_solve(prog.B.T @ bx)
-    zv = fac.half_solve(hx - prog.b_vec)
+    # both Hessian right-hand sides in one solve, as the columns of an n x 2 block
+    zu, zv = fac.half_solve(np.array([prog.B.T @ bx, hx - prog.b_vec]).T).T
     h_vv = -(mu**2) * (zu @ zu) - mu
     h_vs = mu * (zu @ zv)
     h_ss = -(zv @ zv)

@@ -196,7 +196,10 @@ def grid_minimize_objective(prog: FractionalProgram, resolution: float | None = 
     value that proves nothing about the minimum: `fracdual gen --n 2 --m 1
     --seed 2029 --conditioning 1e6` is about 7e-4 wide along its second
     axis, and at the default 1e-3 the reference reports 1.377633624 (the
-    peak) while the solver finds 1.14779557682.
+    peak) while the solver finds 1.14779557682.  So at its default
+    resolution it cannot resolve the feasible set of a conditioning-1e6
+    instance, and there its value is an upper check on the solver's only,
+    never the minimum.
     """
     return _grid_minimize(prog, None, resolution)
 

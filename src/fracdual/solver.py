@@ -11,11 +11,12 @@ then, once a trial falls outside the cone, bisects the halvings for the
 cone edge and skips those the verdict proves to lie beyond it.  Cholesky
 and the pivot floor still decide every point that can be accepted, so the
 iterates are those of factorizing every trial.
-Each evaluation takes everything it needs (value, gradient, Hessian and
-the primal candidate) from four triangular solves with the factor's
-Cholesky L, made by LAPACK's `trtrs` directly through the handle bound in
-dual.py, so an ascent step at small n costs its arithmetic, not scipy's
-per-call checks.
+LAPACK's `potrf` factorizes each point and each evaluation takes all it
+needs (value, gradient, Hessian and the primal candidate) from three
+`trtrs` solves with the factor, both called through the handles bound in
+dual.py; the 2x2 Newton system and, for m <= 2, the pencil's deciding
+eigenvalue are solved in closed form.  So an ascent step at small n costs
+its arithmetic, not numpy's or scipy's per-call checks.
 A step from an ill-conditioned iterate must rise by more than
 max(4 eps, 1e-3 tol_gap)(1 + |value|), elsewhere by anything: the line
 search stops at the first trial whose predicted rise grad.move (by
@@ -185,6 +186,23 @@ def _inertia_band(w: np.ndarray, sigma: float) -> float:
     return INERTIA_RTOL * (max(-float(w[0]), float(w[-1])) + abs(sigma))
 
 
+def _eigenvalue(K: np.ndarray, j: int) -> float:
+    """The j-th smallest eigenvalue of the symmetric m x m K, m <= 3; in
+    closed form for m <= 2, where the root of smaller magnitude is det/big,
+    free of the cancellation in mean - rad, and by eigvalsh for m = 3.
+    |p|, |q| <= |big|, so det/big is formed without underflow in q*q."""
+    if len(K) == 3:
+        return float(np.linalg.eigvalsh(K)[j])
+    if len(K) == 1:
+        return float(K[0, 0])
+    (p, q), (_, r) = K.tolist()
+    mean = 0.5 * (p + r)
+    rad = math.hypot(0.5 * (p - r), q)
+    big = mean + rad if mean >= 0.0 else mean - rad
+    small = r * (p / big) - q * (q / big) if big else 0.0
+    return (small, big)[j] if mean >= 0.0 else (big, small)[j]
+
+
 def pencil_indefinite(prog: FractionalProgram, tau: float, sigma: float) -> bool:
     """Whether the pencil proves G = Q + tau B'B - sigma H indefinite.
 
@@ -214,8 +232,7 @@ def pencil_indefinite(prog: FractionalProgram, tau: float, sigma: float) -> bool
         return False
     ud = U / (w + sigma)
     K = ud @ U.T
-    j = neg - 1 if neg else m - 1
-    kappa = float(K[0, 0]) if m == 1 else float(np.linalg.eigvalsh(K)[j])
+    kappa = _eigenvalue(K, neg - 1 if neg else m - 1)
     rise = 1.0 + tau * kappa
     # the sum of |U_ij|^2/|D_j| bounds the rounding of K: its trace, with
     # the terms of the negative entries of D counted positive
@@ -257,23 +274,29 @@ def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -
     The negative dual Hessian is positive semidefinite by construction,
     det = mu^2(|zu|^2|zv|^2 - (zu.zv)^2) + mu|zv|^2 >= mu|zv|^2, so no damping
     is needed; it is singular only when zv = 0, that is x = x_center.  The
-    gradient replaces a solve that raises, is not finite or does not ascend.
+    1x1 or 2x2 system is solved in closed form, by Cramer's rule, which is
+    forward stable for 2x2 systems (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, sec. 1.10.1).  The gradient on the
+    free coordinates replaces a step whose determinant is zero, that is not
+    finite or that does not ascend.
     """
-    step = np.zeros(2)
-    if free.all():
-        idx = slice(0, 2)
-    elif free.any():
-        i = int(free.argmax())
-        idx = slice(i, i + 1)
-    else:
-        return step
-    g = grad[idx]
+    (a, b), (_, c) = (-hessian).tolist()
+    g0, g1 = grad.tolist()
+    f0, f1 = free.tolist()
+    if not (f0 and f1):
+        # a coordinate that is not free stays put: decoupled, with unit
+        # curvature and zero gradient, it solves to 0 and the other to g/a
+        b = 0.0
+        a, g0 = (a, g0) if f0 else (1.0, 0.0)
+        c, g1 = (c, g1) if f1 else (1.0, 0.0)
     try:
-        s = np.linalg.solve(-hessian[idx, idx], g)
-    except np.linalg.LinAlgError:
-        s = g
-    step[idx] = s if np.isfinite(s).all() and g @ s > 0.0 else g
-    return step
+        det = a * c - b * b
+        s0, s1 = (c * g0 - b * g1) / det, (a * g1 - b * g0) / det
+    except ZeroDivisionError:
+        s0 = s1 = math.nan
+    if math.isfinite(s0) and math.isfinite(s1) and g0 * s0 + g1 * s1 > 0.0:
+        return np.array([s0, s1])
+    return np.array([g0, g1])
 
 
 _HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]

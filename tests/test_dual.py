@@ -53,6 +53,56 @@ class TestCurvature:
             fd.evaluate_dual(prog, P(1.0, 0.0, 0.0))
 
 
+def _diagonal_program(q_diag):
+    """An instance with Q = diag(q_diag) and H = -2I, so that G = Q at (mu, 0, 0)."""
+    n = len(q_diag)
+    return fd.validate(
+        Q=np.diag(q_diag), f_vec=np.zeros(n), B=np.eye(1, n), lam=1.0,
+        H=-2.0 * np.eye(n), b_vec=np.full(n, -2.0), delta=0.5,
+    )
+
+
+class TestFactorization:
+    """curvature_matrix's direct call of LAPACK potrf."""
+
+    @given(st.sampled_from([*range(1, 9), 64, 128]), st.integers(0, 10_000))
+    def test_factor_is_lower_and_reproduces_g(self, n, seed):
+        prog = fd.generate_program(n, seed % 4, seed=seed)
+        fac = fd.curvature_matrix(prog, fd.find_start(prog, prog.mu_max))
+        assert fac.pd
+        assert not np.triu(fac.chol, 1).any()
+        G, eps = fac.matrix, np.finfo(float).eps
+        # Cholesky's backward error: |LL' - G| <= (n + 1) eps |L||L'| entrywise
+        bound = (n + 1) * eps * np.abs(fac.chol) @ np.abs(fac.chol).T
+        assert np.all(np.abs(fac.chol @ fac.chol.T - G) <= bound)
+        assert fac.min_pivot == float(fac.chol.diagonal().min()) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_indefinite_g_gives_no_factor(self, n):
+        q_diag = np.ones(n)
+        q_diag[n // 2] = -1.0
+        fac = fd.curvature_matrix(_diagonal_program(q_diag), P(1.0, 0.0, 0.0))
+        assert not fac.pd and fac.chol is None and fac.min_pivot == -np.inf
+
+    def test_pivot_floor_rejection_keeps_the_real_pivot(self):
+        fac = fd.curvature_matrix(_diagonal_program([4.0, 1e-20, 2.0]), P(1.0, 0.0, 0.0))
+        assert not fac.pd and fac.chol is None
+        assert fac.min_pivot == pytest.approx(1e-20, rel=1e-12)
+
+    def test_lapack_info_decides(self, monkeypatch):
+        prog = _diagonal_program([1.0, 2.0])
+        dual._bind_lapack()
+        potrf = dual._potrf
+        # info > 0 (a non-positive pivot) is a non-definite factor, whatever
+        # the array holds; info < 0 (an illegal argument) raises
+        monkeypatch.setattr(dual, "_potrf", lambda a, lower: (potrf(a, lower=lower)[0], 2))
+        fac = fd.curvature_matrix(prog, P(1.0, 0.0, 0.0))
+        assert not fac.pd and fac.chol is None and fac.min_pivot == -np.inf
+        monkeypatch.setattr(dual, "_potrf", lambda a, lower: (np.full_like(a, np.nan), -1))
+        with pytest.raises(ValueError, match="potrf"):
+            fd.curvature_matrix(prog, P(1.0, 0.0, 0.0))
+
+
 def _bits(arr):
     """The IEEE bit patterns, so that -0.0 != 0.0 and equal means identical."""
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)

@@ -55,6 +55,17 @@ def test_report_says_when_no_grid_cell_is_feasible(reference):
     assert fd.grid_minimize_objective(prog, resolution=1e-4).grid_feasible
 
 
+def test_unresolved_reference_is_an_upper_check_only():
+    # at conditioning 1e6 the default grid reports the margin peak (1.37763),
+    # far above the feasible point the solver finds (1.14780)
+    prog = fd.generate_program(2, 1, seed=2029, conditioning=1e6)
+    res = fd.solve(prog)
+    report = fd.grid_minimize_objective(prog)
+    assert fd.is_feasible(prog, res.x_star)
+    assert res.P0_value <= report.min_value
+    assert_allclose([res.P0_value, report.min_value], [1.14780, 1.37763], atol=1e-5)
+
+
 def test_minimum_does_not_undercut_the_solver_bound():
     # the minimizer is on the boundary; grid points that the feasibility
     # slack would admit just outside the region lie below the true minimum

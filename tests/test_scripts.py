@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracdual as fd
-from fracdual import solver
+from fracdual import dual, solver
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -69,21 +69,31 @@ def test_answer_digest_counts_the_answers_that_are_polished_slices(monkeypatch):
 
 def test_answer_digest_counts_the_choleskys_of_each_side(monkeypatch, capsys):
     digest = _answer_digest(monkeypatch)
-    # the tally wraps numpy's cholesky; monkeypatch puts it back afterwards
-    monkeypatch.setattr(np.linalg, "cholesky", np.linalg.cholesky)
-    tally = digest.CholeskyTally(np)
+    # the tally binds and wraps dual's potrf handle; monkeypatch puts it back afterwards
+    dual._bind_lapack()
+    monkeypatch.setattr(dual, "_potrf", dual._potrf)
+    tally = digest.CholeskyTally(np, dual)
     text = fd.serialize_instance(fd.generate_program(3, 2, seed=1022))
     lines = list(digest.instance_lines(fd, "mixed", 1022, text, tally))
-    np.linalg.cholesky(np.eye(2))  # outside a solve: not counted
-    with pytest.raises(np.linalg.LinAlgError):
-        with tally.counting("mixed"):
-            np.linalg.cholesky(-np.eye(2))
+    dual._potrf(-np.eye(2), lower=1)  # outside a solve: not counted
+    with tally.counting("mixed"):
+        assert dual._potrf(-np.eye(2), lower=1)[1] > 0
     definite, failed = tally.counts["mixed"]
     res = fd.solve(fd.parse_instance(text))
     assert definite >= sum(s.solution.n_iter for s in res.mu_profile if s.solution) > 0
     assert failed > 1
     assert list(tally.lines()) == [f"cholesky mixed definite {definite} failed {failed}"]
     assert not any(line.startswith("cholesky") for line in lines)
+
+    # a solver without the potrf handle is counted at numpy's cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", np.linalg.cholesky)
+    numpy_tally = digest.CholeskyTally(np, types.SimpleNamespace())
+    np.linalg.cholesky(np.eye(2))  # outside a solve: not counted
+    with numpy_tally.counting("large-n"):
+        np.linalg.cholesky(np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(-np.eye(2))
+    assert list(numpy_tally.lines()) == ["cholesky large-n definite 1 failed 1"]
 
     # --against reads the digest's counts after its sha256 line, "-" when absent
     old = _DIGEST.splitlines() + ["cholesky mixed definite 7 failed 3"]
@@ -106,8 +116,9 @@ def test_answer_digest_counts_the_pencil_verdicts_of_each_side(monkeypatch, caps
         return verdict(*args)
 
     monkeypatch.setattr(solver, "pencil_indefinite", spy)
-    monkeypatch.setattr(np.linalg, "cholesky", np.linalg.cholesky)
-    tallies = (digest.CholeskyTally(np), digest.VerdictTally(solver))
+    dual._bind_lapack()
+    monkeypatch.setattr(dual, "_potrf", dual._potrf)
+    tallies = (digest.CholeskyTally(np, dual), digest.VerdictTally(solver))
     prog = fd.generate_program(3, 2, seed=1022)
     lines = list(digest.instance_lines(fd, "mixed", 1022, fd.serialize_instance(prog), *tallies))
     solver.pencil_indefinite(prog, 0.0, 0.0)  # outside a solve: not counted

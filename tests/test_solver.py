@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import fracdual as fd
 from fracdual import dual, solver
@@ -100,6 +100,38 @@ class TestAscentDirection:
         grad = np.array([0.5, 1.0])
         step = _ascent_direction(hessian, grad, np.array([True, True]))
         assert_allclose(-hessian @ step, grad)
+
+    @given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.floats(-0.999, 0.999),
+           st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    def test_closed_form_matches_a_linear_solve(self, log_a, log_c, corr, log_g0, log_g1):
+        # -hessian = [[a, b], [b, c]] positive definite, |b| < sqrt(ac)
+        a, c = 10.0**log_a, 10.0**log_c
+        b = corr * np.sqrt(a * c)
+        hessian = -np.array([[a, b], [b, c]])
+        grad = np.array([10.0**log_g0, -(10.0**log_g1)])
+        eps = np.finfo(float).eps
+        for free in ([True, True], [True, False], [False, True]):
+            free = np.array(free)
+            idx = np.flatnonzero(free)
+            sub = -hessian[np.ix_(idx, idx)]
+            ref = np.linalg.solve(sub, grad[idx])
+            step = _ascent_direction(hessian, grad, free)
+            assert np.all(step[~free] == 0.0)
+            kappa = np.linalg.cond(sub)
+            # both solves are forward stable: each within a few kappa eps of exact
+            assert np.linalg.norm(step[idx] - ref) <= 4 * kappa * eps * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("neg_hessian, grad, free", [
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], [True, True]),  # zero determinant
+        ([[0.0, 1.0], [1.0, 3.0]], [1.0, 2.0], [True, False]),  # zero 1x1 curvature
+        ([[1e-300, 0.0], [0.0, 1.0]], [1e10, 1.0], [True, True]),  # step overflows
+        ([[-1.0, 0.0], [0.0, -2.0]], [1.0, 1.0], [True, True]),  # step descends
+        ([[2.0, 0.0], [0.0, -2.0]], [1.0, 1.0], [False, True]),  # 1x1 step descends
+    ])
+    def test_failed_step_falls_back_to_the_gradient(self, neg_hessian, grad, free):
+        free, grad = np.array(free), np.array(grad)
+        step = _ascent_direction(-np.array(neg_hessian), grad, free)
+        assert_array_equal(step, np.where(free, grad, 0.0))
 
 
 class TestAscent:
@@ -217,6 +249,21 @@ def test_inertia_screen_changes_no_iterate(seed, conditioning, monkeypatch):
         assert a.status is b.status
         assert a.n_iter - 1 <= len(a_steps) <= a.n_iter
         assert a_steps == b_steps
+
+
+# 0 or +-10^-e for e in [0, 30]
+_ENTRY = st.builds(lambda sign, e: sign * 10.0**-e, st.integers(-1, 1), st.floats(0.0, 30.0))
+
+
+@given(_ENTRY, _ENTRY, _ENTRY, st.integers(-150, 150))
+def test_closed_form_eigenvalues_match_eigvalsh(p, q, r, scale):
+    # entries across 30 decades: definite, indefinite and near singular K
+    K = np.array([[p, q], [q, r]]) * 10.0**scale
+    eps = np.finfo(float).eps
+    want = np.linalg.eigvalsh(K)
+    for j in (0, 1):
+        assert abs(solver._eigenvalue(K, j) - want[j]) <= 4 * eps * np.abs(want).max()
+    assert solver._eigenvalue(K[:1, :1], 0) == K[0, 0]
 
 
 class TestPencilShortcuts:
@@ -406,14 +453,14 @@ class TestRiseFloor:
         # the rises refused are above rounding: the floor is a tolerance
         assert max(gains) > 1e3 * solver._NOISE_ULPS * (1.0 + abs(ev.value))
 
-    # (n_iter, varsigma, sigma, value) as float hex, from the solver before
-    # the floor was raised above 4 eps: these slices never turn
-    # ill-conditioned, so the floor must leave them bit for bit
+    # (n_iter, varsigma, sigma, value) as float hex: these slices never turn
+    # ill-conditioned, so the floor must leave them bit for bit as they are
+    # with no floor at all
     @pytest.mark.parametrize("prog, mu, want", [
-        (make_reference(), 1.7, (9, "-0x1.df220ac1a0d0fp-1", "0x1.d3ded7400d877p-4",
+        (make_reference(), 1.7, (9, "-0x1.df220ac1a0d0fp-1", "0x1.d3ded7400d876p-4",
                                  "0x1.beda7d6b1c568p-1")),
         (fd.generate_program(4, 1, seed=1005), 2.249664037515023,
-         (13, "-0x1.880ff51868528p+0", "0x1.c03e97d2cf695p+1", "0x1.55bc9de90a619p+1")),
+         (13, "-0x1.880ff5186852ap+0", "0x1.c03e97d2cf69ap+1", "0x1.55bc9de90a61ap+1")),
     ])
     def test_well_conditioned_slice_is_unchanged(self, prog, mu, want, monkeypatch):
         floors = []
@@ -423,13 +470,20 @@ class TestRiseFloor:
             floors.append(args[7])  # min_rise
             return try_step(*args)
 
+        def hexed(sol):
+            point = sol.point
+            return (sol.n_iter, point.varsigma.hex(), point.sigma.hex(), sol.value.hex())
+
         monkeypatch.setattr(solver, "_try_step", spy)
         sol = fd.maximize_dual(prog, mu)
         assert floors and set(floors) == {0.0}
         assert fd.certify(prog, mu, sol).kind is CertificateKind.PERFECT
-        point = sol.point
-        got = (sol.n_iter, point.varsigma.hex(), point.sigma.hex(), sol.value.hex())
-        assert got == want
+        assert hexed(sol) == want
+        monkeypatch.setattr(solver, "_RISE_SHARE", 0.0)
+        monkeypatch.setattr(solver, "_NOISE_ULPS", 0.0)
+        unfloored = fd.maximize_dual(prog, mu)
+        assert hexed(unfloored) == hexed(sol)
+        assert unfloored.min_pivot.hex() == sol.min_pivot.hex()
 
 
 def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
@@ -445,15 +499,16 @@ def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
 
     monkeypatch.setattr(solver, "curvature_matrix", counted)
     monkeypatch.setattr(dual, "curvature_matrix", counted)
-    # and every Cholesky factorization goes through curvature_matrix
+    # and every LAPACK Cholesky factorization goes through curvature_matrix
     choleskys = {"n": 0}
-    numpy_cholesky = np.linalg.cholesky
+    dual._bind_lapack()
+    potrf = dual._potrf
 
-    def counted_cholesky(a):
+    def counted_potrf(*args, **kwargs):
         choleskys["n"] += 1
-        return numpy_cholesky(a)
+        return potrf(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(dual, "_potrf", counted_potrf)
     per_ascent = []
     ascend = solver._ascend
 
