@@ -38,11 +38,13 @@ meant to be bit-identical is checked against an earlier digest instead:
     python3 scripts/answer_digest.py --base 1000 --against digest_1000.txt
 
 prints, instead of the digest, every instance whose certificate kind
-changed or whose P0 rose by more than tol_gap*(1+|P0|) (tol_gap is the
-default `SolverOptions().tol_gap`), or that only one of the two solved, then
+changed or whose P0 rose by more than tol_gap*(1+|P0|) (tol_gap is
+`SolverOptions().tol_gap`), that only one of the two solved, or whose
+global lower bound LB in this run lies above its P0 by more than
+1e-12*(1+|P0|) (a bound above a feasible value is wrong), then
 how many instances end with P0 - LB <= tol_gap*(1+|P0|) on each side, and
 per workload each side's ascent iterations (summed n_iter over all slices),
-iteration-capped slices (n_iter equal to the default `max_iter`) and
+iteration-capped slices (n_iter equal to `SolverOptions().max_iter`) and
 stalled slices (status MaxIterations with n_iter below it, perfbench's
 `solver.stalled_slices`), the polish wins: the instances whose answer is a
 `Polished` slice (one whose P0 is the instance's), the Cholesky
@@ -269,6 +271,10 @@ def against(old_lines, new_lines, opts) -> int:
             listed += 1
         if p_new - p_old > tol_gap * (1.0 + abs(p_old)):
             print(f"{name}: P0 rose {p_old!r} -> {p_new!r}")
+            listed += 1
+    for key, (p0, _, lb) in sorted(new.items()):
+        if lb - p0 > 1e-12 * (1.0 + abs(p0)):
+            print(f"{key[0]} {key[1]}: LB {lb!r} above P0 {p0!r}")
             listed += 1
     print(f"gap closed: DIGEST {sum(closed(p, lb) for p, _, lb in old.values())} of {len(old)}, "
           f"this run {sum(closed(p, lb) for p, _, lb in new.values())} of {len(new)}")

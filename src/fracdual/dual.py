@@ -109,7 +109,6 @@ class CurvatureFactor:
 
 @dataclass(frozen=True)
 class DualEvaluation:
-    point: DualPoint
     value: float
     grad_varsigma: float
     grad_sigma: float
@@ -203,7 +202,6 @@ def evaluate_dual(
     hessian = np.array([[h_vv, h_vs], [h_vs, h_ss]])
 
     return DualEvaluation(
-        point=point,
         value=value,
         grad_varsigma=float(grad_vs),
         grad_sigma=float(grad_sg),

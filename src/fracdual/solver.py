@@ -18,7 +18,7 @@ dual.py; the 2x2 Newton system and, for m <= 2, the pencil's deciding
 eigenvalue are solved in closed form.  So an ascent step at small n costs
 its arithmetic, not numpy's or scipy's per-call checks.
 A step from an ill-conditioned iterate must rise by more than
-max(4 eps, 1e-3 tol_gap)(1 + |value|), elsewhere by anything: the line
+1e-3 tol_gap (1 + |value|), elsewhere by anything: the line
 search stops at the first trial whose predicted rise grad.move (by
 concavity a bound on its real rise) is below that floor, and the ascent
 ends when neither the Newton nor the gradient step clears it.  The floor
@@ -38,16 +38,18 @@ the lines' upper envelope is a lower bound LB on the whole region.  The
 dual bound D(s) is a supremum of such lines, so it is convex in s, and
 refinement follows Kelley's cutting-plane rule: while the best feasible
 value UB is more than tol_gap above LB, it solves the slice where the
-envelope bottoms out.  A gap left open (a duality gap, or slices that stop
+envelope bottoms out.  LB is the largest minimum of one line at an end
+of the interval or of two crossing lines, each crossing read off the
+flatter line.  A gap left open (a duality gap, or slices that stop
 short on the definiteness boundary) goes to a polish: spectral projected
 gradient descent of the ratio objective from the best candidates, in the
 metric of -H, where the region is a ball and the projection a radial snap.
 
-The ascent's convergence test (_TOL_GRAD) and the seed of the polish's
-jittered starts (_POLISH_SEED) are fixed: the certificates are graded
-against them, so they are part of what Perfect and a closed global gap
-mean.  SolverOptions holds only the grid size, the iteration cap and the
-gap tolerance.
+The ascent's convergence test (_TOL_GRAD), its iteration cap, the gap
+tolerance and the seed of the polish's jittered starts (_POLISH_SEED) are
+fixed: the certificates are graded against them, so they are part of what
+Perfect and a closed global gap mean.  Of SolverOptions only the grid size
+can be set; the cap and the tolerance are read from it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -96,12 +98,14 @@ class CertificateKind(Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The sweep's grid size, the ascent's iteration cap per slice, and the
-    gap tolerance of the slice certificates and the global gap."""
+    """The sweep's grid size, the only setting.  The ascent's iteration cap
+    per slice and the gap tolerance of the slice certificates and the global
+    gap are fixed; they are fields so that the result file and replays of a
+    slice read them from here."""
 
     grid: int = 64
-    max_iter: int = 500
-    tol_gap: float = 1e-6
+    max_iter: int = field(default=500, init=False)
+    tol_gap: float = field(default=1e-6, init=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,10 +305,6 @@ def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -
 
 _HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
 
-# The dual value is a sum of a few terms of about its own size, each rounded
-# once, so at an ill-conditioned iterate a rise below this many ulps of
-# 1 + |value| may be rounding alone.
-_NOISE_ULPS = 4.0 * np.finfo(float).eps
 # Of tol_gap(1 + |value|), the rise a step from an ill-conditioned iterate needs.
 _RISE_SHARE = 1e-3
 
@@ -431,7 +431,7 @@ def _ascend(
         if converged:
             break
         # at an ill-conditioned iterate, rises below the floor are not progress
-        floor = max(_NOISE_ULPS, _RISE_SHARE * opts.tol_gap) if ev.ill_conditioned else 0.0
+        floor = _RISE_SHARE * opts.tol_gap if ev.ill_conditioned else 0.0
         min_rise = floor * (1.0 + abs(ev.value))
         step = _ascent_direction(ev.hessian, pg, ~clamped)
         moved = _try_step(prog, mu, d, step, grad, ev.value, lo, min_rise, btb)
@@ -699,38 +699,29 @@ def _polish(prog: FractionalProgram, opts: SolverOptions, slices: list[_Slice]) 
 def _envelope_min(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     """Minimizer s in [lo, hi] and minimum of max_k (A_k + B_k*s), K >= 1 lines.
 
-    The envelope is convex and piecewise linear.  When neither end is the
-    minimum, a falling line active left of it and a rising line active
-    right of it bracket the minimizer; the envelope at their crossing is
-    either on one of them, and then it is the minimum, or on a new line
-    whose slope sign says which of the two it replaces.  Each step adds a
-    line of the envelope, so it takes at most K steps and O(K) each.  Should
-    rounding keep it from settling, the last crossing of two lines is
-    returned with its value there, which lies below the envelope's minimum.
+    The sets {s in [lo, hi]: A_k + B_k*s <= t} are intervals, and intervals
+    meet when every two of them do (Helly's theorem in one dimension), so
+    the minimum is the largest of: each line's minimum at an end, and each
+    falling and rising line's value at their crossing, clamped to [lo, hi].
+    A flat line counts as both.  A crossing's value is read off the flatter
+    line of its pair, whose value the rounding of s moves least.  The
+    minimizer is the point reaching that value where the envelope is lowest.
     """
-
-    def top(s: float) -> tuple[int, float]:
-        vals = A + B * s
-        k = int(vals.argmax())
-        return k, float(vals[k])
-
-    left, value = top(lo)
-    if B[left] >= 0.0:
-        return lo, value
-    right, value = top(hi)
-    if B[right] <= 0.0:
-        return hi, value
-    for _ in range(len(A)):
-        s = min(max(float((A[left] - A[right]) / (B[right] - B[left])), lo), hi)
-        crossing = float(max(A[left] + B[left] * s, A[right] + B[right] * s))
-        k, value = top(s)
-        if value <= crossing or B[k] == 0.0:
-            return s, value
-        if B[k] < 0.0:
-            left = k
-        else:
-            right = k
-    return s, crossing
+    falling, rising = np.flatnonzero(B <= 0.0), np.flatnonzero(B >= 0.0)
+    fall = falling[:, None]  # a column: pair (i, j) is falling line i, rising line j
+    spread = B[rising] - B[fall]
+    # two flat lines never cross: their minima are counted at the ends
+    crossing = spread > 0.0
+    s = np.clip(np.divide(A[fall] - A[rising], spread, out=np.full(spread.shape, lo),
+                          where=crossing), lo, hi)
+    flatter = np.where(B[rising] <= -B[fall], rising, fall)
+    points = np.concatenate([np.full(len(rising), lo), np.full(len(falling), hi), s[crossing]])
+    values = np.concatenate([A[rising] + B[rising] * lo, A[falling] + B[falling] * hi,
+                             (A[flatter] + B[flatter] * s)[crossing]])
+    value = values.max()
+    reach = points[values == value]
+    k = int((A + B * reach[:, None]).max(axis=1).argmin())
+    return float(reach[k]), float(value)
 
 
 def _global_lower_bound(prog: FractionalProgram, slices: list[_Slice]) -> tuple[float, float]:
@@ -890,20 +881,10 @@ class RayProbe:
 
 
 @dataclass(frozen=True)
-class BoundaryProbe:
-    found: bool
-    boundary_point: DualPoint | None = None
-    approach_values: tuple[float, ...] = ()
-    last_drop: float = 0.0
-    diverging: bool | None = None
-
-
-@dataclass(frozen=True)
 class ExistenceProbe:
     mu: float
     varsigma_ray: RayProbe
     sigma_ray: RayProbe
-    boundary: BoundaryProbe
 
 
 def _ray_values(prog, mu, base, direction, scales):
@@ -920,10 +901,11 @@ def _ray_values(prog, mu, base, direction, scales):
 
 
 def existence_probe(prog: FractionalProgram, mu: float, n_samples: int = 10) -> ExistenceProbe:
-    """Sample rays to infinity and toward the definiteness boundary.
+    """Sample the dual along the varsigma and sigma rays to infinity.
 
-    Advisory diagnostics: trends indicate whether the dual is coercive on the
-    cone (a maximizer exists inside) or flat/bounded along some escape ray.
+    Advisory diagnostics: each ray's recession slope, against its
+    theoretical value, says whether the dual is coercive on the cone (a
+    maximizer exists inside) or flat/bounded along that escape ray.
     """
     mu = check_mu(prog, mu)
     start = find_start(prog, mu)
@@ -953,41 +935,5 @@ def existence_probe(prog: FractionalProgram, mu: float, n_samples: int = 10) -> 
         coercive=bool(slope < -1e-8 * (1.0 + abs(vals[-1]))),
     )
 
-    boundary = _probe_boundary(prog, mu, base)
-    return ExistenceProbe(mu=mu, varsigma_ray=vs_ray, sigma_ray=sg_ray, boundary=boundary)
+    return ExistenceProbe(mu=mu, varsigma_ray=vs_ray, sigma_ray=sg_ray)
 
-
-def _probe_boundary(prog: FractionalProgram, mu: float, base: np.ndarray) -> BoundaryProbe:
-    lo = _bounds(prog)
-    reach = 10.0 * (1.0 + np.linalg.norm(base) + prog.sigma_scale)
-    for direction in ((-1.0, 0.0), (0.0, -1.0), (-1.0, -1.0), (-1.0, -0.25), (-0.25, -1.0)):
-        target = np.maximum(base + reach * np.array(direction), lo)
-        if not np.any(target != base):
-            continue
-        if curvature_matrix(prog, DualPoint(mu, *map(float, target))).pd:
-            continue
-        inner, outer = base.copy(), target
-        for _ in range(60):
-            mid = 0.5 * (inner + outer)
-            if curvature_matrix(prog, DualPoint(mu, *map(float, mid))).pd:
-                inner = mid
-            else:
-                outer = mid
-        vals = []
-        for k in range(1, 13):
-            d = outer + (base - outer) * 2.0**-k
-            point = DualPoint(mu, float(d[0]), float(d[1]))
-            fac = curvature_matrix(prog, point)
-            if fac.pd:
-                vals.append(evaluate_dual(prog, point, fac=fac).value)
-        if len(vals) < 2:
-            continue
-        drop = vals[-1] - vals[-2]  # value change over the last halving
-        return BoundaryProbe(
-            found=True,
-            boundary_point=DualPoint(mu, float(outer[0]), float(outer[1])),
-            approach_values=tuple(vals),
-            last_drop=float(drop),
-            diverging=bool(drop < -max(1.0, abs(vals[0]))),
-        )
-    return BoundaryProbe(found=False)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.linalg import eigh
 
 import fracdual as fd
 
@@ -70,6 +71,43 @@ REFERENCE_EDGE_P0 = 1.0018398282201788
 # closed form via boundary parameterization
 GAP_CASE_MIN = -0.369
 GAP_CASE_ARGMIN_X2 = -0.74
+
+
+def planted_program(n: int, m: int, seed: int, conditioning: float = 1.0):
+    """(prog, x*, P*): an instance whose global minimum P* = P0(x*) is known.
+
+    After Calamai, Vicente and Judice (Math. Program. 61, 1993): H, b, B and
+    the draw of Q come from generate_program, and the rest is fitted so
+    that at mu* = 1/margin(x*) the dual point d* = (varsigma*, sigma*) is an
+    interior critical point with x* as its primal candidate and no gap, and
+    its line A + (sigma* - tau*^2/2) s, tau* = mu* varsigma*, is flat.  That
+    line bounds the objective from below on the whole region (the solver's
+    Fenchel-Young bound), at the value P0(x*) of a feasible point.  m >= 1.
+    """
+    base = fd.generate_program(n, m, seed=seed, conditioning=conditioning)
+    rng = np.random.default_rng([seed, n, m])
+    H, b, B = base.H, base.b_vec, base.B
+    # 1. x* on the level margin(x*) = t * peak, t in [0.3, 0.9]
+    y = rng.normal(size=n)
+    level = rng.uniform(0.3, 0.9) * base.mu0_inv
+    x_star = base.x_center + y * np.sqrt(2.0 * (base.mu0_inv - level) / (y @ -H @ y))
+    margin = 0.5 * x_star @ H @ x_star - b @ x_star
+    mu_star = 1.0 / margin
+    # 2. lam puts xi(x*) = 0.5|Bx*|^2 - lam at varsigma*, and sigma* flattens the line
+    half_bx2 = 0.5 * float(np.sum((B @ x_star) ** 2))
+    varsigma = rng.uniform(-1.0, 1.0) * half_bx2
+    lam = half_bx2 - varsigma
+    tau = mu_star * varsigma
+    sigma = 0.5 * tau * tau
+    # 3. Q shifted along -H until G(d*) is definite, its pencil minimum at least 0.1
+    G = base.Q + tau * (B.T @ B) - sigma * H
+    shift = max(0.0, 0.1 - float(eigh(G, -H, eigvals_only=True)[0]))
+    G = G - shift * H
+    # 4. f makes x* = G(d*)^-1 (f - sigma* b), and delta keeps x* feasible
+    f = G @ x_star + sigma * b
+    delta = rng.uniform(0.2, 1.0) * margin
+    prog = fd.validate(base.Q - shift * H, f, B, lam, H, b, delta)
+    return prog, x_star, fd.eval_objective(prog, x_star)
 
 
 @pytest.fixture

@@ -67,6 +67,22 @@ def test_answer_digest_counts_the_answers_that_are_polished_slices(monkeypatch):
     assert digest._polish_wins(_DIGEST.splitlines()) == {"mixed": [1006], "large-n": []}
 
 
+def test_answer_digest_lists_a_bound_above_the_answer(monkeypatch, capsys):
+    digest = _answer_digest(monkeypatch)
+    lines = _DIGEST.splitlines()
+    assert digest.against(lines, lines, fd.SolverOptions()) == 0
+    # mixed 1007's LB at its P0 (0x1.0p-3) plus 2 ulps is within 1e-12*(1 + |P0|),
+    # at P0 + 1e-9 it is not; this run's bound is read, not the digest's
+    for lb, listed in (("0x1.0000000000002p-3", 0), ((0.125 + 1e-9).hex(), 1)):
+        new = [line.replace("lb 0x1.0p-3", f"lb {lb}") if line.startswith("mixed 1007") else line
+               for line in lines]
+        assert digest.against(lines, new, fd.SolverOptions()) == listed
+        assert digest.against(new, lines, fd.SolverOptions()) == 0
+        out = capsys.readouterr().out.splitlines()
+        above = [line for line in out if "above P0" in line]
+        assert above == ([f"mixed 1007: LB {float.fromhex(lb)!r} above P0 0.125"] if listed else [])
+
+
 def test_answer_digest_counts_the_choleskys_of_each_side(monkeypatch, capsys):
     digest = _answer_digest(monkeypatch)
     # the tally binds and wraps dual's potrf handle; monkeypatch puts it back afterwards

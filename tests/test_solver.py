@@ -1,10 +1,11 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import fracdual as fd
@@ -28,6 +29,7 @@ from conftest import (
     REFERENCE_X,
     make_gap_case,
     make_reference,
+    planted_program,
 )
 
 
@@ -451,7 +453,7 @@ class TestRiseFloor:
                     gains.append(fd.evaluate_dual(prog, point, fac=fac).value - ev.value)
         assert max(gains) <= floor
         # the rises refused are above rounding: the floor is a tolerance
-        assert max(gains) > 1e3 * solver._NOISE_ULPS * (1.0 + abs(ev.value))
+        assert max(gains) > 1e3 * 4.0 * np.finfo(float).eps * (1.0 + abs(ev.value))
 
     # (n_iter, varsigma, sigma, value) as float hex: these slices never turn
     # ill-conditioned, so the floor must leave them bit for bit as they are
@@ -480,7 +482,6 @@ class TestRiseFloor:
         assert fd.certify(prog, mu, sol).kind is CertificateKind.PERFECT
         assert hexed(sol) == want
         monkeypatch.setattr(solver, "_RISE_SHARE", 0.0)
-        monkeypatch.setattr(solver, "_NOISE_ULPS", 0.0)
         unfloored = fd.maximize_dual(prog, mu)
         assert hexed(unfloored) == hexed(sol)
         assert unfloored.min_pivot.hex() == sol.min_pivot.hex()
@@ -524,6 +525,16 @@ def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
     assert len(per_ascent) >= 12 and min(per_ascent) > 0
     assert calls["n"] == sum(per_ascent) == choleskys["n"]
     assert any(s.note == "Polished" for s in res.mu_profile)
+
+
+def test_only_the_grid_can_be_set():
+    # the iteration cap and the gap tolerance are fixed, but stay readable
+    # for the result file's solver_options and for replays of a slice
+    for name in ("max_iter", "tol_gap"):
+        with pytest.raises(TypeError):
+            fd.SolverOptions(**{name: 1})
+    opts = fd.SolverOptions(grid=12)
+    assert (opts.grid, opts.max_iter, opts.tol_gap) == (12, 500, 1e-6)
 
 
 class TestCertify:
@@ -661,7 +672,8 @@ def _brute_envelope_min(A, B, lo, hi):
 
 
 def _mp_envelope_min(lines, lo, hi):
-    # the same crossing search as the solver's, in mpmath arithmetic
+    # a crossing walk over the envelope's lines, in mpmath arithmetic: it
+    # follows active lines, not the solver's closed form over all pairs
     def top(s):
         a, b = max(lines, key=lambda line: line[0] + line[1] * s)
         return (a, b), a + b * s
@@ -682,6 +694,14 @@ def _mp_envelope_min(lines, lo, hi):
         else:
             right = line
     raise AssertionError("no crossing settled")
+
+
+def _exact_envelope_min(A, B, lo, hi):
+    # min over the ends and every crossing inside of the envelope, in rationals
+    lines = [(Fraction(a), Fraction(b)) for a, b in zip(A.tolist(), B.tolist())]
+    lo, hi = Fraction(lo), Fraction(hi)
+    points = [lo, hi] + [(a - c) / (d - b) for a, b in lines for c, d in lines if b != d]
+    return min(max(a + b * s for a, b in lines) for s in points if lo <= s <= hi)
 
 
 def _mp_line(prog, point):
@@ -713,6 +733,29 @@ class TestGlobalBound:
             assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert lo <= s <= hi
             assert (A + B * s).max() == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    def test_steep_lines_do_not_lift_the_bound(self):
+        # the envelope bottoms out where steep lines (|B| up to 1e8) cross a
+        # flatter one: an ulp of the crossing moves a steep line's value by
+        # |B| ulps of s, so the bound may exceed the exact minimum only by a
+        # few ulps of the flatter line's terms
+        rng = np.random.default_rng(373)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            lo, hi = np.sort(rng.uniform(0.05, 2.0, size=2))
+            steep = rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(4, 8, size=k)
+            B = np.concatenate([[rng.normal()], steep])
+            A = rng.normal(size=k + 1)
+            # the falling lines meet the flat one left of a point of [lo, hi],
+            # the rising ones right of it, so the minimum is on the flat line
+            mid = rng.uniform(lo, hi)
+            meet = np.where(steep < 0.0, rng.uniform(lo, mid, size=k), rng.uniform(mid, hi, size=k))
+            A[1:] = A[0] + (B[0] - B[1:]) * meet
+            s, value = _envelope_min(A, B, lo, hi)
+            exact = _exact_envelope_min(A, B, lo, hi)
+            assert lo <= s <= hi
+            assert value - exact <= 4 * eps * (abs(A[0]) + abs(B[0] * s))
 
     def test_reference_closes_without_polish(self, reference):
         res = fd.solve(reference)
@@ -759,12 +802,39 @@ class TestGlobalBound:
 
 @settings(max_examples=20)
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 10_000))
+@example(1, 1, 373)  # a line of slope 3e7 crosses the flat line at the minimum
 def test_global_bound_is_below_the_minimum(n, m, seed):
     prog = fd.generate_program(n, m, seed=seed)
     res = fd.solve(prog, fd.SolverOptions(grid=12))
     assert res.global_lower_bound <= res.P0_value + 1e-12 * (1.0 + abs(res.P0_value))
     reference = fd.grid_minimize_objective(prog).min_value
     assert res.global_lower_bound <= reference + 1e-12 * (1.0 + abs(reference))
+
+
+_PLANTED = [(n, m, seed, conditioning) for n in (2, 3, 6, 64) for m in (1, 2, 3)
+            for conditioning in (1.0, 1e6) for seed in range(3 if n < 64 else 1)]
+
+
+class TestPlanted:
+    @pytest.mark.parametrize("n, m, seed, conditioning", _PLANTED)
+    def test_answer_and_bound_meet_the_planted_minimum(self, n, m, seed, conditioning):
+        prog, _, p_star = planted_program(n, m, seed, conditioning)
+        res = fd.solve(prog)
+        scale = 1.0 + abs(p_star)
+        assert res.P0_value <= p_star + fd.SolverOptions().tol_gap * scale
+        assert res.global_lower_bound <= p_star + 1e-12 * scale
+
+    @pytest.mark.parametrize("n, m, seed, conditioning", _PLANTED[::5])
+    def test_planted_point_is_a_zero_gap_dual_critical_point(self, n, m, seed, conditioning):
+        prog, x_star, p_star = planted_program(n, m, seed, conditioning)
+        mu = 1.0 / fd.eval_terms(prog, x_star)[2]
+        varsigma = fd.canonical_measure(prog, x_star)
+        point = DualPoint(mu, varsigma, 0.5 * (mu * varsigma) ** 2)
+        ev = fd.evaluate_dual(prog, point)
+        assert varsigma > -prog.lam and point.sigma > 0.0
+        assert_allclose(ev.x_candidate, x_star, rtol=1e-6, atol=1e-9)
+        assert ev.value == pytest.approx(p_star, rel=1e-9, abs=1e-9)
+        assert abs(ev.grad_varsigma) + abs(ev.grad_sigma) <= 1e-6 * (1.0 + abs(p_star))
 
 
 # P0 of the instances whose global gap stays open, as the fixed-rule descent
