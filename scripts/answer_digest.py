@@ -18,12 +18,14 @@ sha256 line mean two versions of the solver are bit-identical there, and
 that their instance and result files are byte-identical.  After it, and
 not covered by it, one line per workload counts the Cholesky
 factorizations its solves made, split into definite ones and failed
-ones, and then one line per workload counts the pencil verdicts its solves
-asked for ("-" for a checkout without fracdual.solver.pencil_indefinite);
-the script counts them by wrapping, during each solve, pencil_indefinite
-and the factorization: LAPACK's potrf as fracdual.dual calls it (info 0
-is definite, info > 0 failed), or numpy.linalg.cholesky for a checkout
-that factorizes with it (returned is definite, raised failed).
+ones, then one line per workload counts the pencil verdicts its solves
+asked for ("-" for a checkout without fracdual.solver.pencil_indefinite),
+and one line per workload the dual evaluations its solves made (calls of
+fracdual.solver.evaluate_dual); the script counts them by wrapping,
+during each solve, pencil_indefinite, evaluate_dual and the
+factorization: LAPACK's potrf as fracdual.dual calls it (info 0 is
+definite, info > 0 failed), or numpy.linalg.cholesky for a checkout that
+factorizes with it (returned is definite, raised failed).
 
     python3 scripts/answer_digest.py --base 1000 > digest_1000.txt
     python3 scripts/answer_digest.py --root ../other-checkout --base 1000
@@ -48,8 +50,8 @@ iteration-capped slices (n_iter equal to `SolverOptions().max_iter`) and
 stalled slices (status MaxIterations with n_iter below it, perfbench's
 `solver.stalled_slices`), the polish wins: the instances whose answer is a
 `Polished` slice (one whose P0 is the instance's), the Cholesky
-factorizations, definite and failed, and the pencil verdicts ("-" for a
-digest without them).
+factorizations, definite and failed, the pencil verdicts and the dual
+evaluations ("-" for a digest without them).
 It exits 1 when it listed any instance.
 """
 
@@ -80,7 +82,7 @@ def _kind(cert) -> str:
 
 
 # Lines of a digest that are neither instance nor slice lines.
-_TRAILER = ("sha256", "cholesky", "pencil")
+_TRAILER = ("sha256", "cholesky", "pencil", "evaluate")
 
 
 class _Tally:
@@ -148,28 +150,43 @@ class CholeskyTally(_Tally):
             yield f"cholesky {name} definite {definite} failed {failed}"
 
 
-class VerdictTally(_Tally):
-    """The solver module's pencil_indefinite, wrapped to count per workload
-    its calls inside `counting` only; every count is "-" for a solver
-    without it."""
+class CallTally(_Tally):
+    """The solver module's function `attr`, wrapped to count per workload
+    its calls inside `counting` only, printed as `line` (a format of the
+    workload and the count); every count is "-" for a solver without it."""
 
-    def __init__(self, solver) -> None:
+    def __init__(self, solver, attr: str, line: str) -> None:
         super().__init__()
-        verdict = getattr(solver, "pencil_indefinite", None)
-        self.present = verdict is not None
+        self._line = line
+        function = getattr(solver, attr, None)
+        self.present = function is not None
         if not self.present:
             return
 
         def counted(*args, **kwargs):
             if self._workload is not None:
                 self.counts[self._workload] += 1
-            return verdict(*args, **kwargs)
+            return function(*args, **kwargs)
 
-        solver.pencil_indefinite = counted
+        setattr(solver, attr, counted)
 
     def lines(self):
-        for name, verdicts in self.counts.items():
-            yield f"pencil {name} verdicts {verdicts if self.present else '-'}"
+        for name, calls in self.counts.items():
+            yield self._line.format(name, calls if self.present else "-")
+
+
+class VerdictTally(CallTally):
+    """The pencil verdicts, solver.pencil_indefinite's calls."""
+
+    def __init__(self, solver) -> None:
+        super().__init__(solver, "pencil_indefinite", "pencil {} verdicts {}")
+
+
+class EvaluationTally(CallTally):
+    """The dual evaluations, solver.evaluate_dual's calls."""
+
+    def __init__(self, solver) -> None:
+        super().__init__(solver, "evaluate_dual", "evaluate {} {}")
 
 
 def instance_lines(fd, name: str, seed: int, text: str, *tallies: _Tally):
@@ -244,9 +261,10 @@ def _choleskys(lines) -> dict:
             for tok in map(str.split, lines) if tok[:1] == ["cholesky"]}
 
 
-def _verdicts(lines) -> dict:
-    """workload -> pencil verdicts of a digest, as printed ("-" when unknown)."""
-    return {tok[1]: tok[3] for tok in map(str.split, lines) if tok[:1] == ["pencil"]}
+def _calls(lines, head: str) -> dict:
+    """workload -> the count on a digest's `head` lines (pencil verdicts or
+    dual evaluations), as printed ("-" when unknown)."""
+    return {tok[1]: tok[-1] for tok in map(str.split, lines) if tok[:1] == [head]}
 
 
 def against(old_lines, new_lines, opts) -> int:
@@ -293,10 +311,10 @@ def against(old_lines, new_lines, opts) -> int:
         was_definite, was_failed = old_chol.get(name, ("-", "-"))
         print(f"{name}: Cholesky definite DIGEST {was_definite}, this run {definite}; "
               f"failed DIGEST {was_failed}, this run {failed}")
-    old_verdicts = _verdicts(old_lines)
-    for name, verdicts in _verdicts(new_lines).items():
-        print(f"{name}: pencil verdicts DIGEST {old_verdicts.get(name, '-')}, "
-              f"this run {verdicts}")
+    for head, what in (("pencil", "pencil verdicts"), ("evaluate", "dual evaluations")):
+        was = _calls(old_lines, head)
+        for name, calls in _calls(new_lines, head).items():
+            print(f"{name}: {what} DIGEST {was.get(name, '-')}, this run {calls}")
     print(f"listed: {listed}")
     return 1 if listed else 0
 
@@ -319,7 +337,8 @@ def main(argv=None) -> int:
     import fracdual.solver
     from workloads import WORKLOADS
 
-    tallies = (CholeskyTally(np, fracdual.dual), VerdictTally(fracdual.solver))
+    tallies = (CholeskyTally(np, fracdual.dual), VerdictTally(fracdual.solver),
+               EvaluationTally(fracdual.solver))
     lines = [line for name in args.workload or list(WORKLOADS)
              for seed, text in WORKLOADS[name].texts(args.base)
              for line in instance_lines(fd, name, seed, text, *tallies)]

@@ -18,7 +18,9 @@ factor G = LL': z = L^{-1}c gives the value, x = L^{-T}z the primal, and
 one solve of the n x 2 block [B'(Bx), Hx - b] the Hessian.  x is not
 refined: Cholesky is backward stable, a refinement step in working
 precision does not improve its forward error, and every certificate
-re-checks x a posteriori.
+re-checks x a posteriori.  The solver's ascent reads an evaluation's
+value, gradient and 2x2 Hessian as Python floats; x and the solves stay
+arrays.
 
 B'B has rank m <= 3, so the instance does not store it: an ascent forms
 it from B once and assembles G from it at every point it factorizes (a

@@ -17,6 +17,11 @@ needs (value, gradient, Hessian and the primal candidate) from three
 dual.py; the 2x2 Newton system and, for m <= 2, the pencil's deciding
 eigenvalue are solved in closed form.  So an ascent step at small n costs
 its arithmetic, not numpy's or scipy's per-call checks.
+The ascent's 2-vectors (iterate, gradient, step, bounds, trials) and its
+2x2 Hessian are Python floats; n-vectors and n x n work stay in numpy and
+LAPACK.  The line search forms trial k, max(d + 2^-k step, lo), when it
+reaches it, and all 60 trials as one matrix, to the same bits, only for
+the bisection after a trial falls outside the cone.
 A step from an ill-conditioned iterate must rise by more than
 1e-3 tol_gap (1 + |value|), elsewhere by anything: the line
 search stops at the first trial whose predicted rise grad.move (by
@@ -175,8 +180,12 @@ _COMP_TOL = 1e-6
 _XI_TOL = 1e-6
 
 
-def _bounds(prog: FractionalProgram) -> np.ndarray:
-    return np.array([-prog.lam, 0.0])
+# A point, gradient or step of the two dual variables (varsigma, sigma).
+_Pair = tuple[float, float]
+
+
+def _bounds(prog: FractionalProgram) -> _Pair:
+    return -prog.lam, 0.0
 
 
 # An eigenvalue of the pencil's congruent form this close (relative) to zero
@@ -272,7 +281,7 @@ def _start(
     raise NoStartingPointError(f"no definite dual point found at mu={mu:.6g}")
 
 
-def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _ascent_direction(hessian: list[list[float]], grad: _Pair, free: tuple[bool, bool]) -> _Pair:
     """Newton step on the free coordinates, or the gradient where it fails.
 
     The negative dual Hessian is positive semidefinite by construction,
@@ -284,9 +293,10 @@ def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -
     free coordinates replaces a step whose determinant is zero, that is not
     finite or that does not ascend.
     """
-    (a, b), (_, c) = (-hessian).tolist()
-    g0, g1 = grad.tolist()
-    f0, f1 = free.tolist()
+    (a, b), (_, c) = hessian
+    a, b, c = -a, -b, -c
+    g0, g1 = grad
+    f0, f1 = free
     if not (f0 and f1):
         # a coordinate that is not free stays put: decoupled, with unit
         # curvature and zero gradient, it solves to 0 and the other to g/a
@@ -299,11 +309,13 @@ def _ascent_direction(hessian: np.ndarray, grad: np.ndarray, free: np.ndarray) -
     except ZeroDivisionError:
         s0 = s1 = math.nan
     if math.isfinite(s0) and math.isfinite(s1) and g0 * s0 + g1 * s1 > 0.0:
-        return np.array([s0, s1])
-    return np.array([g0, g1])
+        return s0, s1
+    return g0, g1
 
 
+# The line search's step fractions 2^-k, as a column and as floats.
 _HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
+_FRACTIONS = _HALVINGS[:, 0].tolist()
 
 # Of tol_gap(1 + |value|), the rise a step from an ill-conditioned iterate needs.
 _RISE_SHARE = 1e-3
@@ -312,43 +324,52 @@ _RISE_SHARE = 1e-3
 def _try_step(
     prog: FractionalProgram,
     mu: float,
-    d: np.ndarray,
-    step: np.ndarray,
-    grad: np.ndarray,
+    d: _Pair,
+    step: _Pair,
+    grad: _Pair,
     value: float,
-    lo: np.ndarray,
+    lo: _Pair,
     min_rise: float,
     btb: np.ndarray | None = None,
-):
+) -> tuple[_Pair, DualEvaluation] | None:
     """Backtrack from the full step by halving until the dual rises enough.
 
-    A step is accepted only when the value rises by more than `min_rise`.
-    With min_rise = 0 trials stop at the first one that no longer moves;
-    with min_rise > 0 they stop at the first one whose predicted rise
-    grad.move is at most min_rise, since by concavity its value rises by
-    no more than that.  After the first trial found outside the cone, the
-    trials that the pencil proves to lie between it and the cone edge
-    (_cone_step) are not factorized; Cholesky still decides every trial
-    that could be accepted.  Each trial is assembled from `btb`
-    (curvature_matrix's argument).
+    Trial k is max(d + 2^-k step, lo), formed on floats when the search
+    reaches it.  A step is accepted only when the value rises by more than
+    `min_rise`.  With min_rise = 0 trials stop at the first one that no
+    longer moves; with min_rise > 0 they stop at the first one whose
+    predicted rise grad.move is at most min_rise, since by concavity its
+    value rises by no more than that.  After the first trial found outside
+    the cone, the trials that the pencil proves to lie between it and the
+    cone edge (_cone_step, on all the trials as rows of one matrix) are not
+    factorized; Cholesky still decides every trial that could be accepted.
+    Each trial is assembled from `btb` (curvature_matrix's argument).
     """
-    trials = np.maximum(d + _HALVINGS * step, lo)
-    moves = trials - d
-    rising = moves @ grad > min_rise if min_rise > 0.0 else moves.any(axis=1)
-    count = len(trials) if rising.all() else int(rising.argmin())
-    k, bounded = 0, False
+    (d0, d1), (s0, s1), (g0, g1), (lo0, lo1) = d, step, grad, lo
+    k, count, bounded = 0, len(_FRACTIONS), False
     while k < count:
-        point = DualPoint(mu, float(trials[k, 0]), float(trials[k, 1]))
+        h = _FRACTIONS[k]
+        t0, t1 = max(d0 + h * s0, lo0), max(d1 + h * s1, lo1)
+        m0, m1 = t0 - d0, t1 - d1
+        rise = m0 * g0 + m1 * g1
+        if not (rise > min_rise if min_rise > 0.0 else m0 or m1):
+            return None
+        point = DualPoint(mu, t0, t1)
         fac = curvature_matrix(prog, point, btb)
         if fac.pd:
             ev = evaluate_dual(prog, point, fac=fac)
-            if ev.value > value + min_rise and ev.value >= value + 1e-4 * (grad @ moves[k]):
-                return trials[k], ev
+            if ev.value > value + min_rise and ev.value >= value + 1e-4 * rise:
+                return (t0, t1), ev
             k += 1
         elif bounded:
             k += 1
         else:
+            # the same trials and rises as above, elementwise, so bit for bit
             bounded = True
+            trials = np.maximum(np.add(d, _HALVINGS * step), lo)
+            moves = trials - d
+            rising = (moves * grad).sum(axis=1) > min_rise if min_rise > 0.0 else moves.any(axis=1)
+            count = count if rising.all() else int(rising.argmin())
             k = _cone_step(prog, mu, trials, k, count)
     return None
 
@@ -388,7 +409,7 @@ def _cone_step(prog: FractionalProgram, mu: float, trials: np.ndarray, out: int,
 
 
 def _classify(
-    ev: DualEvaluation, d: np.ndarray, lo: np.ndarray, lam: float, converged: bool
+    ev: DualEvaluation, d: _Pair, lo: _Pair, lam: float, converged: bool
 ) -> AscentStatus:
     if ev.ill_conditioned:
         return AscentStatus.NEAR_PD_BOUNDARY
@@ -414,34 +435,35 @@ def _ascend(
     """maximize_dual, with the evaluation at its final point."""
     mu = check_mu(prog, mu)
     lo = _bounds(prog)
-    lo_edge = lo + _BOUND_RTOL * (1.0 + np.abs(lo))
+    edge0, edge1 = (b + _BOUND_RTOL * (1.0 + abs(b)) for b in lo)
     btb = gram(prog)
     start, fac = _start(prog, mu, btb)
-    d = start.as_array()
+    d = start.varsigma, start.sigma
     ev = evaluate_dual(prog, start, fac=fac)
     converged = False
-    pg_norm = np.inf
+    pg_norm = math.inf
     n_iter = 0
     for n_iter in range(1, opts.max_iter + 1):
-        grad = np.array([ev.grad_varsigma, ev.grad_sigma])
-        clamped = (d <= lo_edge) & (grad < 0.0)
-        pg = np.where(clamped, 0.0, grad)
-        pg_norm = math.sqrt(pg.dot(pg))  # np.linalg.norm's arithmetic, without its dispatch
+        grad = g0, g1 = ev.grad_varsigma, ev.grad_sigma
+        # a coordinate at its bound with the gradient pushing out is clamped
+        free = not (d[0] <= edge0 and g0 < 0.0), not (d[1] <= edge1 and g1 < 0.0)
+        pg = (g0 if free[0] else 0.0), (g1 if free[1] else 0.0)
+        pg_norm = math.sqrt(pg[0] * pg[0] + pg[1] * pg[1])
         converged = pg_norm <= _TOL_GRAD * (1.0 + abs(ev.value))
         if converged:
             break
         # at an ill-conditioned iterate, rises below the floor are not progress
         floor = _RISE_SHARE * opts.tol_gap if ev.ill_conditioned else 0.0
         min_rise = floor * (1.0 + abs(ev.value))
-        step = _ascent_direction(ev.hessian, pg, ~clamped)
+        step = _ascent_direction(ev.hessian.tolist(), pg, free)
         moved = _try_step(prog, mu, d, step, grad, ev.value, lo, min_rise, btb)
-        if moved is None and (step != pg).any():
+        if moved is None and step != pg:
             moved = _try_step(prog, mu, d, pg, grad, ev.value, lo, min_rise, btb)
         if moved is None:
             break
         d, ev = moved
     return DualSolution(
-        point=DualPoint(mu, float(d[0]), float(d[1])),
+        point=DualPoint(mu, *d),
         value=ev.value,
         grad_norm=pg_norm,
         status=_classify(ev, d, lo, prog.lam, converged),

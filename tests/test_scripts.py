@@ -158,3 +158,41 @@ def test_answer_digest_counts_the_pencil_verdicts_of_each_side(monkeypatch, caps
     assert "mixed: pencil verdicts DIGEST 12, this run 20" in out
     assert "large-n: pencil verdicts DIGEST -, this run -" in out
     assert out[-1] == "listed: 0"
+
+
+def test_answer_digest_counts_the_dual_evaluations_of_each_side(monkeypatch, capsys):
+    digest = _answer_digest(monkeypatch)
+    # a spy under the tally's wrapper; monkeypatch puts both back afterwards
+    evaluate, spied = solver.evaluate_dual, []
+
+    def spy(*args, **kwargs):
+        spied.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "evaluate_dual", spy)
+    tally = digest.EvaluationTally(solver)
+    prog = fd.generate_program(3, 2, seed=1022)
+    lines = list(digest.instance_lines(fd, "mixed", 1022, fd.serialize_instance(prog), tally))
+    solver.evaluate_dual(prog, fd.find_start(prog, prog.mu0))  # outside a solve: not counted
+    evaluations = tally.counts["mixed"]
+    assert 0 < evaluations == len(spied) - 1
+    # every ascent iteration evaluates its point: the start, and each accepted step
+    res = fd.solve(prog)
+    assert evaluations >= sum(s.solution.n_iter for s in res.mu_profile if s.solution)
+    assert list(tally.lines()) == [f"evaluate mixed {evaluations}"]
+    assert not any(line.startswith("evaluate") for line in lines)
+
+    # a solver without evaluate_dual counts nothing and prints "-"
+    absent = digest.EvaluationTally(types.SimpleNamespace())
+    with absent.counting("large-n"):
+        pass
+    assert list(absent.lines()) == ["evaluate large-n -"]
+
+    # --against prints both sides' counts, "-" when a side has none
+    old = _DIGEST.splitlines() + ["evaluate mixed 12"]
+    new = _DIGEST.splitlines() + ["evaluate mixed 20", "evaluate large-n -"]
+    assert digest.against(old, new, fd.SolverOptions()) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mixed: dual evaluations DIGEST 12, this run 20" in out
+    assert "large-n: dual evaluations DIGEST -, this run -" in out
+    assert out[-1] == "listed: 0"
