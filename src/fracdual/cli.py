@@ -224,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.landscape and args.at_mu is None:
+        parser.error("sweep: --landscape needs --at-mu")
     try:
         return args.func(args)
     except FracdualError as exc:

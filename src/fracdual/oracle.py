@@ -32,14 +32,12 @@ class OracleReport:
     grid_feasible: bool  # False: no grid cell was feasible, argmin is x_center
 
 
-def bounding_box(
-    prog: FractionalProgram, mu: float | None = None, inflate: float = BOX_INFLATION
-) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned enclosure of the feasible ellipsoid, inflated by `inflate`."""
+def bounding_box(prog: FractionalProgram, mu: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned enclosure of the feasible ellipsoid, inflated by BOX_INFLATION."""
     bound = 1.0 / check_mu(prog, mu) if mu is not None else prog.delta
     radius_sq = max(2.0 * (prog.mu0_inv - bound), 0.0)
     inv_diag = np.diag(np.linalg.inv(-prog.H))
-    half = np.sqrt(radius_sq * inv_diag) * (1.0 + inflate)
+    half = np.sqrt(radius_sq * inv_diag) * (1.0 + BOX_INFLATION)
     return prog.x_center - half, prog.x_center + half
 
 

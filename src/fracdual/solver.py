@@ -7,8 +7,8 @@ forms B'B once and assembles every curvature matrix it factorizes from it.
 The instance's (Q, -H) pencil keeps Cholesky off points it proves
 indefinite, by one verdict (pencil_indefinite): the start ladder skips the
 rungs it proves indefinite, and backtracking factorizes the full step,
-then, once a trial falls outside the cone, bisects the halvings for the
-cone edge and skips those the verdict proves to lie beyond it.  Cholesky
+then, at each trial that falls outside the cone, bisects the halvings for
+the cone edge and skips those the verdict proves to lie beyond it.  Cholesky
 and the pivot floor still decide every point that can be accepted, so the
 iterates are those of factorizing every trial.
 LAPACK's `potrf` factorizes each point and each evaluation takes all it
@@ -19,9 +19,8 @@ eigenvalue are solved in closed form.  So an ascent step at small n costs
 its arithmetic, not numpy's or scipy's per-call checks.
 The ascent's 2-vectors (iterate, gradient, step, bounds, trials) and its
 2x2 Hessian are Python floats; n-vectors and n x n work stay in numpy and
-LAPACK.  The line search forms trial k, max(d + 2^-k step, lo), when it
-reaches it, and all 60 trials as one matrix, to the same bits, only for
-the bisection after a trial falls outside the cone.
+LAPACK.  The line search forms trial k, max(d + 2^-k step, lo), by one
+formula on floats, when it reaches it or the cone bisection asks for it.
 A step from an ill-conditioned iterate must rise by more than
 1e-3 tol_gap (1 + |value|), elsewhere by anything: the line
 search stops at the first trial whose predicted rise grad.move (by
@@ -62,6 +61,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -247,11 +247,8 @@ def pencil_indefinite(prog: FractionalProgram, tau: float, sigma: float) -> bool
     K = ud @ U.T
     kappa = _eigenvalue(K, neg - 1 if neg else m - 1)
     rise = 1.0 + tau * kappa
-    # the sum of |U_ij|^2/|D_j| bounds the rounding of K: its trace, with
-    # the terms of the negative entries of D counted positive
-    weight = float(K.trace())
-    if neg:
-        weight -= 2.0 * float((ud[:, :neg] * U[:, :neg]).sum())
+    # the sum of |U_ij|^2/|D_j| bounds the rounding of K
+    weight = float(np.abs(ud * U).sum())
     band = INERTIA_RTOL * (1.0 + abs(tau) * weight)
     return rise > band if neg else rise < -band
 
@@ -313,9 +310,8 @@ def _ascent_direction(hessian: list[list[float]], grad: _Pair, free: tuple[bool,
     return g0, g1
 
 
-# The line search's step fractions 2^-k, as a column and as floats.
-_HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
-_FRACTIONS = _HALVINGS[:, 0].tolist()
+# The line search's step fractions 2^-k.
+_FRACTIONS = [math.ldexp(1.0, -k) for k in range(60)]
 
 # Of tol_gap(1 + |value|), the rise a step from an ill-conditioned iterate needs.
 _RISE_SHARE = 1e-3
@@ -334,22 +330,26 @@ def _try_step(
 ) -> tuple[_Pair, DualEvaluation] | None:
     """Backtrack from the full step by halving until the dual rises enough.
 
-    Trial k is max(d + 2^-k step, lo), formed on floats when the search
-    reaches it.  A step is accepted only when the value rises by more than
+    Trial k, trial(k) = max(d + 2^-k step, lo), is formed on floats when
+    needed.  A step is accepted only when the value rises by more than
     `min_rise`.  With min_rise = 0 trials stop at the first one that no
     longer moves; with min_rise > 0 they stop at the first one whose
     predicted rise grad.move is at most min_rise, since by concavity its
-    value rises by no more than that.  After the first trial found outside
-    the cone, the trials that the pencil proves to lie between it and the
-    cone edge (_cone_step, on all the trials as rows of one matrix) are not
+    value rises by no more than that.  At each trial found outside the cone
+    the trials that the pencil proves to lie between it and the cone edge
+    (_cone_step, asking for them through the same trial(k)) are not
     factorized; Cholesky still decides every trial that could be accepted.
     Each trial is assembled from `btb` (curvature_matrix's argument).
     """
     (d0, d1), (s0, s1), (g0, g1), (lo0, lo1) = d, step, grad, lo
-    k, count, bounded = 0, len(_FRACTIONS), False
-    while k < count:
+
+    def trial(k: int) -> _Pair:
         h = _FRACTIONS[k]
-        t0, t1 = max(d0 + h * s0, lo0), max(d1 + h * s1, lo1)
+        return max(d0 + h * s0, lo0), max(d1 + h * s1, lo1)
+
+    k = 0
+    while k < len(_FRACTIONS):
+        t0, t1 = trial(k)
         m0, m1 = t0 - d0, t1 - d1
         rise = m0 * g0 + m1 * g1
         if not (rise > min_rise if min_rise > 0.0 else m0 or m1):
@@ -361,24 +361,16 @@ def _try_step(
             if ev.value > value + min_rise and ev.value >= value + 1e-4 * rise:
                 return (t0, t1), ev
             k += 1
-        elif bounded:
-            k += 1
         else:
-            # the same trials and rises as above, elementwise, so bit for bit
-            bounded = True
-            trials = np.maximum(np.add(d, _HALVINGS * step), lo)
-            moves = trials - d
-            rising = (moves * grad).sum(axis=1) > min_rise if min_rise > 0.0 else moves.any(axis=1)
-            count = count if rising.all() else int(rising.argmin())
-            k = _cone_step(prog, mu, trials, k, count)
+            k = _cone_step(prog, mu, trial, k)
     return None
 
 
-def _cone_step(prog: FractionalProgram, mu: float, trials: np.ndarray, out: int, count: int) -> int:
+def _cone_step(prog: FractionalProgram, mu: float, trial: Callable[[int], _Pair], out: int) -> int:
     """The trial after `out` to factorize next: the first past those the
-    pencil proves indefinite, `count` when none is left.
+    pencil proves indefinite, len(_FRACTIONS) when none is left.
 
-    Trial k is the point max(d + 2^-k step, lo) of the search path from the
+    trial(k) is the point max(d + 2^-k step, lo) of the search path from the
     definite d, and trial `out` failed Cholesky.  Once the pencil proves
     `out` indefinite, the trials between it and the cone edge are the
     indefinite ones: the path's first leg is a line from d, along which the
@@ -387,18 +379,23 @@ def _cone_step(prog: FractionalProgram, mu: float, trials: np.ndarray, out: int,
     stays below G at `out`), or, when both coordinates move down, G shrinks
     along the whole path.  So a bisection of the trial index keeps a
     bracket, a trial r the pencil proves indefinite and a trial hi it does
-    not (or hi = count), skips every trial up to r and returns hi once the
-    two are adjacent, after at most 1 + ceil(log2(count - out)) verdicts.
-    Rounding in the verdicts moves no answer: each skipped trial lies
-    between two that the pencil proves indefinite.
+    not (or hi = len(_FRACTIONS)), skips every trial up to r and returns hi
+    once the two are adjacent, after at most 1 + ceil(log2(60 - out))
+    verdicts.  Rounding in the verdicts moves no answer: each skipped trial
+    lies between two that the pencil proves indefinite.  A skip past the
+    search's stopping trial stops it at the trial returned: the trials that
+    move are consecutive, and so are those whose predicted rise clears a
+    floor, as in 2^-k the rise is piecewise linear with slopes positive,
+    then of either sign, then 0.
     """
 
     def proven(k: int) -> bool:
-        return pencil_indefinite(prog, mu * float(trials[k, 0]), float(trials[k, 1]))
+        t0, t1 = trial(k)
+        return pencil_indefinite(prog, mu * t0, t1)
 
     if not proven(out):
         return out + 1
-    r, hi = out, count
+    r, hi = out, len(_FRACTIONS)
     while r + 1 < hi:
         k = (r + hi) // 2
         if proven(k):
@@ -641,7 +638,7 @@ def _descend(prog: FractionalProgram, x0: np.ndarray, metric: np.ndarray):
         slope = float(grad @ d)
         if slope >= 0.0:
             break
-        for lam in _HALVINGS[:25, 0]:
+        for lam in _FRACTIONS[:25]:
             y = x + lam * d
             vy = eval_objective(prog, y)
             if vy < val - 1e-14 * (1.0 + abs(val)) and vy <= val + 1e-4 * lam * slope:
@@ -922,8 +919,8 @@ def _ray_values(prog, mu, base, direction, scales):
     return pts, vals
 
 
-def existence_probe(prog: FractionalProgram, mu: float, n_samples: int = 10) -> ExistenceProbe:
-    """Sample the dual along the varsigma and sigma rays to infinity.
+def existence_probe(prog: FractionalProgram, mu: float) -> ExistenceProbe:
+    """Sample the dual at 10 points along the varsigma and sigma rays to infinity.
 
     Advisory diagnostics: each ray's recession slope, against its
     theoretical value, says whether the dual is coercive on the cone (a
@@ -933,7 +930,7 @@ def existence_probe(prog: FractionalProgram, mu: float, n_samples: int = 10) -> 
     start = find_start(prog, mu)
     base = start.as_array()
 
-    scales = [(1.0 + abs(base[0])) * 4.0**k for k in range(max(3, n_samples))]
+    scales = [(1.0 + abs(base[0])) * 4.0**k for k in range(10)]
     ts, vals = _ray_values(prog, mu, base, np.array([1.0, 0.0]), scales)
     vs_t = [base[0] + t for t in ts]
     slope = (vals[-1] - vals[-2]) / (vs_t[-1] ** 2 - vs_t[-2] ** 2)
@@ -945,7 +942,7 @@ def existence_probe(prog: FractionalProgram, mu: float, n_samples: int = 10) -> 
         coercive=bool(slope < 0.0 and vals[-1] < vals[0]),
     )
 
-    scales = [prog.sigma_scale * 4.0**k for k in range(max(3, n_samples))]
+    scales = [prog.sigma_scale * 4.0**k for k in range(10)]
     ts, vals = _ray_values(prog, mu, base, np.array([0.0, 1.0]), scales)
     sg_t = [base[1] + t for t in ts]
     slope = (vals[-1] - vals[-2]) / (sg_t[-1] - sg_t[-2])

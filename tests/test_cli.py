@@ -196,6 +196,16 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+def test_landscape_without_a_mu_is_a_usage_error(reference_file, capsys):
+    # a landscape is a slice at one mu: without --at-mu there is none to draw
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(reference_file), "--landscape", "3x3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--landscape needs --at-mu" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize("grid", ["0", "-1"])
 def test_nonpositive_grid_is_a_usage_error(reference_file, command, grid, capsys):

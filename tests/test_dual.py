@@ -25,6 +25,11 @@ def P(mu, vs, sg):
     return DualPoint(mu, vs, sg)
 
 
+# The line search's step fractions 2^-k as a column: row k of
+# np.maximum(d + _HALVINGS * step, lo) is the search's trial k.
+_HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
+
+
 class TestCurvature:
     def test_reduces_to_quad_matrix_at_origin(self):
         prog = make_reference()
@@ -542,7 +547,7 @@ def test_inertia_mask_agrees_with_cholesky(seed, conditioning, m, n):
     paths = [(mu, d, step, lo) for mu, d, step in _search_paths(prog, rng)]
     paths += [(mu, d, step, free) for mu, d, step in _near_band_paths(prog, rng)]
     for mu, d, step, bound in paths:
-        trials = np.maximum(d + solver._HALVINGS * step, bound)
+        trials = np.maximum(d + _HALVINGS * step, bound)
         pd = [fd.curvature_matrix(prog, P(mu, *t)).pd for t in trials]
         for (vs, sg), definite in zip(trials, pd):
             assert not (definite and solver.pencil_indefinite(prog, mu * vs, sg))
@@ -550,7 +555,7 @@ def test_inertia_mask_agrees_with_cholesky(seed, conditioning, m, n):
             continue
         with mock.patch.object(solver, "pencil_indefinite",
                                wraps=solver.pencil_indefinite) as verdict:
-            first = solver._cone_step(prog, mu, trials, 0, len(trials))
+            first = solver._cone_step(prog, mu, lambda k: tuple(map(float, trials[k])), 0)
         assert verdict.call_count <= 1 + math.ceil(math.log2(len(trials)))
         assert not any(pd[1:first])
         # the first trial left to Cholesky is definite or near the edge

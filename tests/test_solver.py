@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +33,16 @@ from conftest import (
     make_reference,
     planted_program,
 )
+
+
+# The line search's step fractions 2^-k as a column: row k of
+# np.maximum(d + _HALVINGS * step, lo) is the search's trial k.
+_HALVINGS = np.ldexp(1.0, -np.arange(60))[:, None]
+
+
+def _rows(trials: np.ndarray):
+    """The trial(k) of solver._cone_step, read off the rows of `trials`."""
+    return lambda k: (float(trials[k, 0]), float(trials[k, 1]))
 
 
 def _record_steps(monkeypatch) -> list:
@@ -350,21 +361,61 @@ class TestPencilShortcuts:
         checked = 0
         for step in ([0.5, -1.5 * d[1]], [-0.4, -1.9 * d[1]], [2.0, -1.2 * d[1]]):
             step = np.array(step)
-            trials = np.maximum(d + solver._HALVINGS * step, lo)
+            trials = np.maximum(d + _HALVINGS * step, lo)
             assert trials[0, 1] == 0.0 < trials[1, 1]
             pd = [fd.curvature_matrix(prog, DualPoint(mu, *t)).pd for t in trials]
             assert not pd[0]
             # exactly the trials outside the cone are skipped
-            assert solver._cone_step(prog, mu, trials, 0, len(trials)) == pd.index(True)
+            assert solver._cone_step(prog, mu, _rows(trials), 0) == pd.index(True)
             checked += not pd[1]
         assert checked
+
+    @pytest.mark.parametrize("n", [2, 6, 64])
+    def test_cone_steps_keep_their_verdict_budget(self, n, monkeypatch):
+        # at every cone exit of these ascents: at most 1 + ceil(log2(60 -
+        # out)) verdicts, and every trial skipped lies at or before one
+        # the pencil proves indefinite, and fails Cholesky
+        verdict, cone_step = solver.pencil_indefinite, solver._cone_step
+        verdicts, exits = [], []
+
+        def recorded(prog, tau, sigma):
+            verdicts.append(verdict(prog, tau, sigma))
+            return verdicts[-1]
+
+        def spied(prog, mu, trial, out):
+            asked, before = [], len(verdicts)
+
+            def asked_trial(k):
+                asked.append(k)
+                return trial(k)
+
+            first = cone_step(prog, mu, asked_trial, out)
+            exits.append((prog, mu, trial, out, first, asked, verdicts[before:]))
+            return first
+
+        monkeypatch.setattr(solver, "pencil_indefinite", recorded)
+        monkeypatch.setattr(solver, "_cone_step", spied)
+        for m in range(4):
+            prog = fd.generate_program(n, m, seed=1000 + n + m)
+            for mu in np.linspace(prog.mu0, prog.mu_max, 4):
+                fd.maximize_dual(prog, mu)
+        skips = 0
+        for prog, mu, trial, out, first, asked, proven in exits:
+            assert len(asked) == len(proven) <= 1 + math.ceil(math.log2(60 - out))
+            skipped = range(out + 1, first)
+            if skipped:
+                assert skipped[-1] <= max(k for k, p in zip(asked, proven) if p)
+            for k in skipped:
+                assert not fd.curvature_matrix(prog, DualPoint(mu, *trial(k))).pd
+            skips += len(skipped)
+        assert len(exits) >= 10 and skips >= 10, (len(exits), skips)
 
 
 def _batch_try_step(prog, mu, d, step, grad, value, lo, min_rise, btb=None):
     """The line search with every trial formed up front: the 60 trials and
     their predicted rises as rows of one matrix, and the rises by BLAS."""
     d, step, grad, lo = (np.asarray(v, dtype=float) for v in (d, step, grad, lo))
-    trials = np.maximum(d + solver._HALVINGS * step, lo)
+    trials = np.maximum(d + _HALVINGS * step, lo)
     moves = trials - d
     rising = moves @ grad > min_rise if min_rise > 0.0 else moves.any(axis=1)
     count = len(trials) if rising.all() else int(rising.argmin())
@@ -381,7 +432,7 @@ def _batch_try_step(prog, mu, d, step, grad, value, lo, min_rise, btb=None):
             k += 1
         else:
             bounded = True
-            k = solver._cone_step(prog, mu, trials, k, count)
+            k = solver._cone_step(prog, mu, _rows(trials), k)
     return None
 
 
@@ -423,7 +474,7 @@ class TestLazyLineSearch:
             want = _batch_try_step(prog, mu, d, step, grad, value, lo, min_rise, btb)
             got = solver._try_step(prog, mu, d, step, grad, value, lo, min_rise, btb)
             draws += 1
-            trials = np.maximum(np.add(d, solver._HALVINGS * step), lo)
+            trials = np.maximum(np.add(d, _HALVINGS * step), lo)
             exits += not fd.curvature_matrix(prog, DualPoint(mu, *trials[0]), btb).pd
             clamped += trials[0, 1] == 0.0 < d[1]
             if want is None and got is None:
@@ -454,7 +505,7 @@ class TestNoiseFloor:
         ev = fd.evaluate_dual(prog, start)
         grad = np.array([ev.grad_varsigma, ev.grad_sigma])
         d, lo = start.as_array(), solver._bounds(prog)
-        trials = np.maximum(d + solver._HALVINGS * grad, lo)
+        trials = np.maximum(d + _HALVINGS * grad, lo)
         return prog, d, ev, grad, lo, trials, (trials - d) @ grad
 
     def test_ill_conditioned_slice_stops_short_of_the_cap(self):
@@ -532,7 +583,7 @@ class TestRiseFloor:
         gains = []
         for step in (_ascent_direction(ev.hessian, pg, free), pg):
             assert solver._try_step(prog, mu, d, step, grad, ev.value, lo, floor) is None
-            for trial in np.maximum(d + solver._HALVINGS * step, lo):
+            for trial in np.maximum(d + _HALVINGS * step, lo):
                 point = DualPoint(mu, float(trial[0]), float(trial[1]))
                 fac = fd.curvature_matrix(prog, point)
                 if fac.pd:
