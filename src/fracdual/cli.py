@@ -86,8 +86,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     prog = _read_instance(args.instance)
-    result = solve(prog)
+    # the reference first: a dimension or grid it refuses exits 2 without a solve
     report = grid_minimize_objective(prog, resolution=args.resolution)
+    result = solve(prog)
     print(f"solver   P0 = {result.P0_value:.12g}  (certificate={result.certificate.kind.value})")
     if not report.grid_feasible:
         print(f"INCONCLUSIVE: no feasible grid cell at resolution {report.resolution:g}")
@@ -228,10 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("sweep: --landscape needs --at-mu")
     try:
         return args.func(args)
-    except FracdualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FracdualError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

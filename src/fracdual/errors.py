@@ -55,7 +55,8 @@ class NotPDError(FracdualError):
 
 
 class DimensionTooLargeError(FracdualError):
-    """Exhaustive reference search refused for this dimension."""
+    """Exhaustive reference search refused for this dimension, or for a grid
+    with more cells than the oracle's MAX_GRID_CELLS at this resolution."""
 
 
 class NoStartingPointError(FracdualError):

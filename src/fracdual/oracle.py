@@ -1,13 +1,14 @@
 """Brute-force reference minimizer, independent of the dual machinery.
 
 Encloses the feasible ellipsoid in an axis-aligned box, exhaustively grids it
-(dimension guard n <= 3), then polishes the best cells with derivative-free
-coordinate descent.  Shares no gradient or factorization code with the
+(n <= 3, at most MAX_GRID_CELLS cells), then polishes the best cells with
+derivative-free coordinate descent.  Shares no gradient or factorization code with the
 solver, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,9 @@ from .problem import FractionalProgram, check_mu
 
 MAX_ORACLE_DIM = 3
 DEFAULT_RESOLUTION = {1: 1e-5, 2: 1e-3, 3: 1e-2}
+# Most grid cells one search may evaluate: ten times the 9.2e6 cells of the
+# default grid of generate_program(3, 3, seed=2231).
+MAX_GRID_CELLS = 10**8
 BOX_INFLATION = 0.01
 N_RESTARTS = 20
 N_SHRINKS = 40
@@ -77,14 +81,19 @@ def _objective_single(prog, x, mu, bound) -> float:
 
 
 def _grid_axes(lo: np.ndarray, hi: np.ndarray, resolution: float) -> list[np.ndarray]:
-    axes = []
-    for a, b in zip(lo, hi):
-        width = b - a
-        if width <= 0.0:
-            axes.append(np.array([0.5 * (a + b)]))
-        else:
-            axes.append(np.linspace(a, b, int(np.ceil(width / resolution)) + 1))
-    return axes
+    """The grid's axes, once its cells are counted and found within MAX_GRID_CELLS."""
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    # an axis is clamped at the cap, so a grid over it stays over it
+    sizes = [math.ceil(min((b - a) / resolution, MAX_GRID_CELLS)) + 1 if b - a > 0.0 else 1
+             for a, b in bounds]
+    cells = math.prod(sizes)
+    if cells > MAX_GRID_CELLS:
+        raise DimensionTooLargeError(
+            f"exhaustive search limited to {MAX_GRID_CELLS:.0e} grid cells, "
+            f"got {cells:.3g} at resolution {resolution:g}"
+        )
+    return [np.linspace(a, b, k) if k > 1 else np.array([0.5 * (a + b)])
+            for (a, b), k in zip(bounds, sizes)]
 
 
 def _polish(prog, X0, vals0, spacing, mu, bound):

@@ -109,21 +109,10 @@ def gram(prog: FractionalProgram) -> np.ndarray:
     return prog.B.T @ prog.B
 
 
-def _as_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
+def _as_array(name: str, value, *shape: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ShapeMismatchError(
-            f"{name}: expected shape {(rows, cols)}, got {arr.shape}"
-        )
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ShapeMismatchError(f"{name}: contains non-finite entries")
-    return arr
-
-
-def _as_vector(name: str, value, size: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (size,):
-        raise ShapeMismatchError(f"{name}: expected shape {(size,)}, got {arr.shape}")
+    if arr.shape != shape:
+        raise ShapeMismatchError(f"{name}: expected shape {shape}, got {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ShapeMismatchError(f"{name}: contains non-finite entries")
     return arr
@@ -152,15 +141,15 @@ def validate(Q, f_vec, B, lam, H, b_vec, delta) -> FractionalProgram:
     """
     Qa = np.atleast_2d(np.asarray(Q, dtype=float))
     n = Qa.shape[0]
-    Qa = _as_matrix("Q", Qa, n, n)
-    f = _as_vector("f_vec", f_vec, n)
+    Qa = _as_array("Q", Qa, n, n)
+    f = _as_array("f_vec", f_vec, n)
     Ba = np.asarray(B, dtype=float)
     if Ba.ndim != 2:
         raise ShapeMismatchError(f"B: expected a 2-d array, got ndim={Ba.ndim}")
     m = Ba.shape[0]
-    Ba = _as_matrix("B", Ba, m, n)
-    Ha = _as_matrix("H", np.atleast_2d(np.asarray(H, dtype=float)), n, n)
-    b = _as_vector("b_vec", b_vec, n)
+    Ba = _as_array("B", Ba, m, n)
+    Ha = _as_array("H", np.atleast_2d(np.asarray(H, dtype=float)), n, n)
+    b = _as_array("b_vec", b_vec, n)
 
     lam = float(lam)
     delta = float(delta)

@@ -8,7 +8,8 @@ The instance's (Q, -H) pencil keeps Cholesky off points it proves
 indefinite, by one verdict (pencil_indefinite): the start ladder skips the
 rungs it proves indefinite, and backtracking factorizes the full step,
 then, at each trial that falls outside the cone, bisects the halvings for
-the cone edge and skips those the verdict proves to lie beyond it.  Cholesky
+the cone edge and skips those the verdict proves to lie beyond it; it
+never asks about a trial at or past the one where the search stops.  Cholesky
 and the pivot floor still decide every point that can be accepted, so the
 iterates are those of factorizing every trial.
 LAPACK's `potrf` factorizes each point and each evaluation takes all it
@@ -31,7 +32,8 @@ values of mixed seed 1022's boundary slices (condition numbers up to 5e10)
 were within 2e-15 of exact, so the rises it refuses are real, but each
 gains about half of the last, such a slice is never certified, and steps
 below a thousandth of tol_gap took most of the solver's time.  Certifying
-recomputes the gap, xi-stationarity and boundary complementarity.
+recomputes the gap, xi-stationarity and boundary complementarity, and
+grades all three, like the weak-duality checks, against tol_gap.
 
 The outer solve scans a uniform grid over [mu0, 1/delta] and returns the
 best feasible candidate.  Every solved slice also bounds the global
@@ -68,6 +70,7 @@ from enum import Enum
 import numpy as np
 
 from .dual import (
+    BOX_TOL,
     CurvatureFactor,
     DualEvaluation,
     DualPoint,
@@ -173,11 +176,8 @@ _TOL_GRAD = 1e-8
 # Seed of the polish's jittered starts, and its descent's steps per start.
 _POLISH_SEED = 0
 _DESCENT_ITERS = 250
-_BOUND_RTOL = 1e-12
+# How close (relative) to its bound a dual coordinate counts as on it.
 _AT_BOUND_RTOL = 1e-9
-_SIGMA_POSITIVE = 1e-9
-_COMP_TOL = 1e-6
-_XI_TOL = 1e-6
 
 
 # A point, gradient or step of the two dual variables (varsigma, sigma).
@@ -186,6 +186,10 @@ _Pair = tuple[float, float]
 
 def _bounds(prog: FractionalProgram) -> _Pair:
     return -prog.lam, 0.0
+
+
+def _at_bound(x: float, bound: float, rtol: float) -> bool:
+    return x <= bound + rtol * (1.0 + abs(bound))
 
 
 # An eigenvalue of the pencil's congruent form this close (relative) to zero
@@ -330,30 +334,30 @@ def _try_step(
 ) -> tuple[_Pair, DualEvaluation] | None:
     """Backtrack from the full step by halving until the dual rises enough.
 
-    Trial k, trial(k) = max(d + 2^-k step, lo), is formed on floats when
-    needed.  A step is accepted only when the value rises by more than
-    `min_rise`.  With min_rise = 0 trials stop at the first one that no
-    longer moves; with min_rise > 0 they stop at the first one whose
-    predicted rise grad.move is at most min_rise, since by concavity its
-    value rises by no more than that.  At each trial found outside the cone
-    the trials that the pencil proves to lie between it and the cone edge
-    (_cone_step, asking for them through the same trial(k)) are not
-    factorized; Cholesky still decides every trial that could be accepted.
-    Each trial is assembled from `btb` (curvature_matrix's argument).
+    trial(k) forms trial k, max(d + 2^-k step, lo), and its predicted rise
+    grad.move on floats when needed, and is None where the search stops:
+    with min_rise = 0 at the first trial that no longer moves, with
+    min_rise > 0 at the first whose predicted rise is at most min_rise,
+    since by concavity its value rises by no more than that.  A step is
+    accepted only when the value rises by more than `min_rise`.  At each
+    trial found outside the cone the trials that the pencil proves to lie
+    between it and the cone edge (_cone_step, asking for them through the
+    same trial(k)) are not factorized; Cholesky still decides every trial
+    that could be accepted.  Each trial is assembled from `btb`
+    (curvature_matrix's argument).
     """
     (d0, d1), (s0, s1), (g0, g1), (lo0, lo1) = d, step, grad, lo
 
-    def trial(k: int) -> _Pair:
+    def trial(k: int) -> tuple[float, float, float] | None:
         h = _FRACTIONS[k]
-        return max(d0 + h * s0, lo0), max(d1 + h * s1, lo1)
-
-    k = 0
-    while k < len(_FRACTIONS):
-        t0, t1 = trial(k)
+        t0, t1 = max(d0 + h * s0, lo0), max(d1 + h * s1, lo1)
         m0, m1 = t0 - d0, t1 - d1
         rise = m0 * g0 + m1 * g1
-        if not (rise > min_rise if min_rise > 0.0 else m0 or m1):
-            return None
+        return (t0, t1, rise) if (rise > min_rise if min_rise > 0.0 else m0 or m1) else None
+
+    k = 0
+    while k < len(_FRACTIONS) and (t := trial(k)) is not None:
+        t0, t1, rise = t
         point = DualPoint(mu, t0, t1)
         fac = curvature_matrix(prog, point, btb)
         if fac.pd:
@@ -366,12 +370,14 @@ def _try_step(
     return None
 
 
-def _cone_step(prog: FractionalProgram, mu: float, trial: Callable[[int], _Pair], out: int) -> int:
+def _cone_step(prog: FractionalProgram, mu: float, trial: Callable, out: int) -> int:
     """The trial after `out` to factorize next: the first past those the
     pencil proves indefinite, len(_FRACTIONS) when none is left.
 
-    trial(k) is the point max(d + 2^-k step, lo) of the search path from the
-    definite d, and trial `out` failed Cholesky.  Once the pencil proves
+    trial(k) is _try_step's: led by the point max(d + 2^-k step, lo) of the
+    search path from the definite d, or None where the search stops, and
+    trial `out` failed Cholesky.  A trial where the search stops is never
+    proven, so no verdict is asked about it.  Once the pencil proves
     `out` indefinite, the trials between it and the cone edge are the
     indefinite ones: the path's first leg is a line from d, along which the
     cone is an interval; after a coordinate clamps at its bound, the path
@@ -382,16 +388,12 @@ def _cone_step(prog: FractionalProgram, mu: float, trial: Callable[[int], _Pair]
     not (or hi = len(_FRACTIONS)), skips every trial up to r and returns hi
     once the two are adjacent, after at most 1 + ceil(log2(60 - out))
     verdicts.  Rounding in the verdicts moves no answer: each skipped trial
-    lies between two that the pencil proves indefinite.  A skip past the
-    search's stopping trial stops it at the trial returned: the trials that
-    move are consecutive, and so are those whose predicted rise clears a
-    floor, as in 2^-k the rise is piecewise linear with slopes positive,
-    then of either sign, then 0.
+    lies between two that the pencil proves indefinite.
     """
 
     def proven(k: int) -> bool:
-        t0, t1 = trial(k)
-        return pencil_indefinite(prog, mu * t0, t1)
+        t = trial(k)
+        return t is not None and pencil_indefinite(prog, mu * t[0], t[1])
 
     if not proven(out):
         return out + 1
@@ -405,16 +407,14 @@ def _cone_step(prog: FractionalProgram, mu: float, trial: Callable[[int], _Pair]
     return hi
 
 
-def _classify(
-    ev: DualEvaluation, d: _Pair, lo: _Pair, lam: float, converged: bool
-) -> AscentStatus:
+def _classify(ev: DualEvaluation, d: _Pair, lo: _Pair, converged: bool) -> AscentStatus:
     if ev.ill_conditioned:
         return AscentStatus.NEAR_PD_BOUNDARY
     if not converged:
         return AscentStatus.MAX_ITERATIONS
-    if d[1] <= lo[1] + _AT_BOUND_RTOL:
+    if _at_bound(d[1], lo[1], _AT_BOUND_RTOL):
         return AscentStatus.BOUNDARY_SIGMA_ZERO
-    if d[0] <= lo[0] + _AT_BOUND_RTOL * (1.0 + abs(lam)):
+    if _at_bound(d[0], lo[0], _AT_BOUND_RTOL):
         return AscentStatus.BOX_BOUNDARY_VARSIGMA
     return AscentStatus.INTERIOR_CRITICAL
 
@@ -432,7 +432,6 @@ def _ascend(
     """maximize_dual, with the evaluation at its final point."""
     mu = check_mu(prog, mu)
     lo = _bounds(prog)
-    edge0, edge1 = (b + _BOUND_RTOL * (1.0 + abs(b)) for b in lo)
     btb = gram(prog)
     start, fac = _start(prog, mu, btb)
     d = start.varsigma, start.sigma
@@ -443,7 +442,8 @@ def _ascend(
     for n_iter in range(1, opts.max_iter + 1):
         grad = g0, g1 = ev.grad_varsigma, ev.grad_sigma
         # a coordinate at its bound with the gradient pushing out is clamped
-        free = not (d[0] <= edge0 and g0 < 0.0), not (d[1] <= edge1 and g1 < 0.0)
+        free = (not (_at_bound(d[0], lo[0], BOX_TOL) and g0 < 0.0),
+                not (_at_bound(d[1], lo[1], BOX_TOL) and g1 < 0.0))
         pg = (g0 if free[0] else 0.0), (g1 if free[1] else 0.0)
         pg_norm = math.sqrt(pg[0] * pg[0] + pg[1] * pg[1])
         converged = pg_norm <= _TOL_GRAD * (1.0 + abs(ev.value))
@@ -463,7 +463,7 @@ def _ascend(
         point=DualPoint(mu, *d),
         value=ev.value,
         grad_norm=pg_norm,
-        status=_classify(ev, d, lo, prog.lam, converged),
+        status=_classify(ev, d, lo, converged),
         n_iter=n_iter,
         min_pivot=ev.min_pivot,
     ), ev
@@ -479,9 +479,10 @@ def certify(
     """Recompute the gap, stationarity, and complementarity at a dual solution.
 
     Perfect requires a trusted factorization (not near the definiteness
-    boundary), gap within tol_gap*(1+|primal|), |xi - varsigma| <= 1e-6 scale,
-    and the boundary/interior complementarity branch for sigma.  `ev`, the
-    ascent's evaluation at sol.point, saves evaluating that point again.
+    boundary), gap within tol_gap*(1+|primal|), |xi - varsigma| within
+    tol_gap*(1+|varsigma|), and the boundary/interior complementarity
+    branch for sigma within tol_gap.  `ev`, the ascent's evaluation at
+    sol.point, saves evaluating that point again.
     """
     opts = opts or SolverOptions()
     mu = check_mu(prog, mu)
@@ -495,15 +496,15 @@ def certify(
 
     trusted = sol.status is not AscentStatus.NEAR_PD_BOUNDARY and not ev.ill_conditioned
     gap_ok = abs(gap) <= opts.tol_gap * (1.0 + abs(primal))
-    xi_ok = stat_xi <= _XI_TOL * (1.0 + abs(sol.point.varsigma))
-    if sol.point.sigma > _SIGMA_POSITIVE:
-        comp_ok = abs(feas_res) <= _COMP_TOL
+    xi_ok = stat_xi <= opts.tol_gap * (1.0 + abs(sol.point.varsigma))
+    if _at_bound(sol.point.sigma, _bounds(prog)[1], _AT_BOUND_RTOL):
+        comp_ok = feas_res >= -opts.tol_gap
     else:
-        comp_ok = feas_res >= -_COMP_TOL
+        comp_ok = abs(feas_res) <= opts.tol_gap
 
     if trusted and gap_ok and xi_ok and comp_ok:
         kind = CertificateKind.PERFECT
-    elif trusted and feas_res >= -_COMP_TOL * (1.0 + inv_mu):
+    elif trusted and feas_res >= -opts.tol_gap * (1.0 + inv_mu):
         kind = CertificateKind.WEAK_ONLY
     else:
         kind = CertificateKind.NONE
@@ -872,7 +873,7 @@ def _weak_duality_floor(prog: FractionalProgram, result: SolveResult) -> None:
     # below the global bound, and a feasible candidate of the mu* subproblem
     # can never fall below its own dual value.
     lower = result.global_lower_bound
-    if lower > result.P0_value + 1e-6 * (1.0 + abs(lower)):
+    if lower > result.P0_value + result.options.tol_gap * (1.0 + abs(lower)):
         raise WeakDualityError(
             f"weak duality violated: answer {result.P0_value:.12g} below "
             f"global lower bound {lower:.12g}"
@@ -882,7 +883,7 @@ def _weak_duality_floor(prog: FractionalProgram, result: SolveResult) -> None:
     if not is_feasible(prog, result.x_star, mu=result.mu_star):
         return
     primal = eval_subproblem(prog, result.mu_star, result.x_star)
-    slack = 1e-6 * (1.0 + abs(result.best_dual_value))
+    slack = result.options.tol_gap * (1.0 + abs(result.best_dual_value))
     if primal < result.best_dual_value - slack:
         raise WeakDualityError(
             f"weak duality violated: subproblem value {primal:.12g} below "

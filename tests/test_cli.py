@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fracdual as fd
-from fracdual import solver
+from fracdual import cli, solver
 from fracdual.cli import main
 
 from conftest import REFERENCE_MU, REFERENCE_P0, make_gap_case, make_reference
@@ -86,8 +86,6 @@ class TestVerify:
         # branch and exit code are exercised deterministically
         import dataclasses
 
-        import fracdual.cli as cli
-
         real_solve = cli.solve
 
         def biased(prog, opts=None):
@@ -110,11 +108,26 @@ class TestVerify:
         assert "INCONCLUSIVE: no feasible grid cell at resolution 0.001" in out
         assert "FAIL" not in out and "PASS" not in out
 
-    def test_dimension_too_large_exits_two(self, tmp_path, capsys):
+    def test_dimension_too_large_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the reference refuses n = 4 before anything is solved
         path = tmp_path / "big.json"
         assert main(["gen", "--n", "4", "--seed", "7", "--output", str(path)]) == 0
+
+        def no_solve(prog, opts=None):
+            raise AssertionError("verify solved an instance the reference refuses")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
         assert main(["verify", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_grid_too_fine_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "n1.json"
+        assert main(["gen", "--n", "1", "--m", "1", "--seed", "3", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path), "--resolution", "1e-30"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "grid cells" in captured.err
+        assert captured.out == ""
 
     def test_generated_instance_verifies(self, tmp_path):
         path = tmp_path / "n2.json"

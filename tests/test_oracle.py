@@ -102,6 +102,12 @@ def test_dimension_guard():
         fd.grid_minimize_objective(prog)
 
 
+def test_grid_size_guard(reference):
+    # 1e30 cells along the one axis: refused before any axis is built
+    with pytest.raises(fd.DimensionTooLargeError, match="grid cells"):
+        fd.grid_minimize_objective(reference, resolution=1e-30)
+
+
 def test_resolution_override_is_deterministic(reference):
     a = fd.grid_minimize_objective(reference, resolution=1e-3)
     b = fd.grid_minimize_objective(reference, resolution=1e-3)
