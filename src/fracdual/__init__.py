@@ -25,6 +25,7 @@ from .errors import (
     AllSubproblemsFailedError,
     DeltaOutOfRangeError,
     DimensionTooLargeError,
+    DualDomainError,
     FracdualError,
     GenerationError,
     HNotNegativeDefiniteError,
@@ -91,6 +92,7 @@ __all__ = [
     "CurvatureFactor",
     "DeltaOutOfRangeError",
     "DimensionTooLargeError",
+    "DualDomainError",
     "DualEvaluation",
     "DualPoint",
     "DualSolution",

@@ -18,20 +18,24 @@ factor G = LL': z = L^{-1}c gives the value, x = L^{-T}z the primal, and
 one solve of the n x 2 block [B'(Bx), Hx - b] the Hessian.  x is not
 refined: Cholesky is backward stable, a refinement step in working
 precision does not improve its forward error, and every certificate
-re-checks x a posteriori.  The solver's ascent reads an evaluation's
-value, gradient and 2x2 Hessian as Python floats; x and the solves stay
-arrays.
+re-checks x a posteriori.  Every scalar is a Python float as soon as it
+is formed: the dot products, the value, xi, h(x) and the gradient; the
+2x2 Hessian is built from three floats.  x and the solves stay arrays,
+and the two Hessian right-hand sides are written into the rows of one
+preallocated 2 x n block, whose transpose is the Fortran-ordered n x 2
+right-hand side trtrs reads.  At n <= 8 each numpy call costs more than
+its arithmetic, so the kernel makes no more of them than it needs.
 
 B'B has rank m <= 3, so the instance does not store it: an ascent forms
 it from B once and assembles G from it at every point it factorizes (a
 lone curvature_matrix call forms its own), and the evaluation applies it
 as B'(Bx).  The factorization and the solves call LAPACK's `potrf` and
-`trtrs` directly and read their `info`: at n <= 8, numpy's and scipy's
-per-call checks, and numpy's exception on an indefinite G, cost several
-times the arithmetic.  The handles are bound once, by the first
-factorization: importing scipy.linalg is most of the cost of importing
-this package, and paths that never factorize (generating, parsing,
-serializing) need not pay it.
+`trtrs` directly, trtrs with positional arguments, and read their
+`info`: at n <= 8, numpy's and scipy's per-call checks, and numpy's
+exception on an indefinite G, cost several times the arithmetic.  The
+handles are bound once, by the first factorization: importing
+scipy.linalg is most of the cost of importing this package, and paths
+that never factorize (generating, parsing, serializing) need not pay it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPDError
+from .errors import DualDomainError, NotPDError
 from .problem import FractionalProgram, gram, pivot_floor
 
 # min_pivot at or below ILL_CONDITIONED_RTOL*(1+max|diag G|) is treated as
@@ -101,7 +105,7 @@ class CurvatureFactor:
         return self._tri_solve(rhs, trans=1)
 
     def _tri_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        z, info = _trtrs(self.chol, rhs, lower=1, trans=trans)
+        z, info = _trtrs(self.chol, rhs, 1, trans)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular factor: zero pivot {info - 1}")
         if info < 0:
@@ -109,7 +113,7 @@ class CurvatureFactor:
         return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualEvaluation:
     value: float
     grad_varsigma: float
@@ -168,11 +172,16 @@ def evaluate_dual(
     point: DualPoint,
     fac: CurvatureFactor | None = None,
 ) -> DualEvaluation:
-    """Value, gradient, Hessian and primal candidate from one factorization."""
-    if not _in_box(prog, point):
-        raise ValueError(
-            f"dual point (varsigma={point.varsigma}, sigma={point.sigma}) "
-            f"violates the box bounds (>= -lam, >= 0)"
+    """Value, gradient, Hessian and primal candidate from one factorization.
+
+    The dual is defined for 0 < mu < inf on the box varsigma >= -lam,
+    sigma >= 0; a point off that domain raises DualDomainError.
+    """
+    mu, vs, sg = point.mu, point.varsigma, point.sigma
+    if not 0.0 < mu < np.inf or not _in_box(prog, point):
+        raise DualDomainError(
+            f"dual point (mu={mu}, varsigma={vs}, sigma={sg}) is off the domain "
+            f"0 < mu < inf, varsigma >= -lam, sigma >= 0"
         )
     if fac is None:
         fac = curvature_matrix(prog, point)
@@ -181,38 +190,31 @@ def evaluate_dual(
             f"curvature matrix not positive definite at {point}",
             min_pivot=fac.min_pivot,
         )
-    mu, vs, sg = point.mu, point.varsigma, point.sigma
-    c = prog.f_vec - sg * prog.b_vec
-
-    z = fac.half_solve(c)
+    B, H, b = prog.B, prog.H, prog.b_vec
+    z = fac.half_solve(prog.f_vec - sg * b)
     x = fac.back_solve(z)
-    value = float(-0.5 * (z @ z) - mu * prog.lam * vs - 0.5 * mu * vs**2 + sg / mu)
+    value = -0.5 * float(z.dot(z)) - mu * prog.lam * vs - 0.5 * mu * vs**2 + sg / mu
 
-    bx = prog.B @ x
-    xi = float(0.5 * (bx @ bx) - prog.lam)
-    hx = prog.H @ x
-    h_at_x = float(0.5 * (x @ hx) - prog.b_vec @ x)
+    bx = B.dot(x)
+    xi = 0.5 * float(bx.dot(bx)) - prog.lam
+    hx = H.dot(x)
+    # np.vdot, like `@`, sums from +0.0; ndarray.dot multiplies 1-vectors as
+    # scalars, so at n = 1 a zero product x_i*y_i would keep its sign
+    h_at_x = 0.5 * float(np.vdot(x, hx)) - float(np.vdot(b, x))
 
-    grad_vs = mu * (xi - vs)
-    grad_sg = 1.0 / mu - h_at_x
-
-    # both Hessian right-hand sides in one solve, as the columns of an n x 2 block
-    zu, zv = fac.half_solve(np.array([prog.B.T @ bx, hx - prog.b_vec]).T).T
-    h_vv = -(mu**2) * (zu @ zu) - mu
-    h_vs = mu * (zu @ zv)
-    h_ss = -(zv @ zv)
-    hessian = np.array([[h_vv, h_vs], [h_vs, h_ss]])
-
+    # both Hessian right-hand sides, B'(Bx) and Hx - b, as the rows of one
+    # block whose transpose is the Fortran-ordered n x 2 right-hand side
+    rhs = np.empty((2, prog.n))
+    np.dot(bx, B, out=rhs[0])
+    np.subtract(hx, b, out=rhs[1])
+    zu, zv = fac.half_solve(rhs.T).T
+    h_vs = mu * float(np.vdot(zu, zv))
+    hessian = np.array(
+        [[-(mu**2) * float(zu.dot(zu)) - mu, h_vs], [h_vs, -float(zv.dot(zv))]]
+    )
     return DualEvaluation(
-        value=value,
-        grad_varsigma=float(grad_vs),
-        grad_sigma=float(grad_sg),
-        x_candidate=x,
-        xi=xi,
-        h_at_x=h_at_x,
-        hessian=hessian,
-        min_pivot=fac.min_pivot,
-        ill_conditioned=fac.ill_conditioned,
+        value, mu * (xi - vs), 1.0 / mu - h_at_x, x, xi, h_at_x, hessian,
+        fac.min_pivot, fac.ill_conditioned,
     )
 
 
@@ -234,7 +236,7 @@ def canonical_measure(prog: FractionalProgram, x) -> float:
 def legendre_conjugate(prog: FractionalProgram, varsigma: float) -> float:
     """Conjugate 0.5*varsigma^2 of the quadratic well on its admissible domain."""
     if varsigma < -prog.lam - BOX_TOL * (1.0 + abs(prog.lam)):
-        raise ValueError(f"varsigma={varsigma} below the conjugate domain bound {-prog.lam}")
+        raise DualDomainError(f"varsigma={varsigma} below the conjugate domain bound {-prog.lam}")
     return 0.5 * float(varsigma) ** 2
 
 

@@ -54,6 +54,10 @@ class NotPDError(FracdualError):
         self.min_pivot = min_pivot
 
 
+class DualDomainError(FracdualError, ValueError):
+    """Dual point off the domain 0 < mu < inf, varsigma >= -lam, sigma >= 0."""
+
+
 class DimensionTooLargeError(FracdualError):
     """Exhaustive reference search refused for this dimension, or for a grid
     with more cells than the oracle's MAX_GRID_CELLS at this resolution."""

@@ -180,6 +180,31 @@ class TestLapackSolves:
                 with pytest.raises(error):
                     solve(rhs)
 
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    @pytest.mark.parametrize("info", [2, -2])
+    def test_evaluation_raises_on_each_solve(self, monkeypatch, failing, info):
+        # evaluate_dual's three trtrs calls: z = L^-1 c, x = L^-T z and the
+        # n x 2 Hessian block; a failure in any one of them raises
+        prog = fd.generate_program(3, 1, seed=7)
+        start = fd.find_start(prog, prog.mu0)
+        fac = fd.curvature_matrix(prog, start)
+        trtrs, calls = dual._trtrs, []
+
+        def failing_trtrs(*args):
+            calls.append(args)
+            if len(calls) == failing:
+                return np.full_like(args[1], np.nan), info
+            return trtrs(*args)
+
+        monkeypatch.setattr(dual, "_trtrs", failing_trtrs)
+        error, match = (np.linalg.LinAlgError, "singular") if info > 0 else (ValueError, "trtrs")
+        with pytest.raises(error, match=match):
+            fd.evaluate_dual(prog, start, fac)
+        assert len(calls) == failing
+        # the call is positional: the factor, the right-hand side, lower, trans
+        assert all(len(args) == 4 and args[2] == 1 for args in calls)
+        assert [args[3] for args in calls] == [0, 1, 0][:failing]
+
 
 def _mp_dual(prog, point, G):
     """x* = G^{-1}c and the dual value at 50 digits, G and c as rounded in float."""
@@ -216,6 +241,96 @@ def test_evaluation_matches_50_digits(conditioning):
                 assert abs(ev.value - value) <= 64 * eps * (1.0 + abs(value))
                 checked += 1
     assert checked >= 50
+
+
+def _reference_evaluate(prog, point, fac):
+    """evaluate_dual as it was written before its scalars became floats:
+    numpy-scalar arithmetic, the Hessian's right-hand sides stacked by
+    np.array and trtrs called through keywords.  The kernel must give the
+    same bits."""
+    trtrs = dual._trtrs
+
+    def solve(rhs, trans):
+        z, info = trtrs(fac.chol, rhs, lower=1, trans=trans)
+        assert info == 0
+        return z
+
+    mu, vs, sg = point.mu, point.varsigma, point.sigma
+    c = prog.f_vec - sg * prog.b_vec
+
+    z = solve(c, 0)
+    x = solve(z, 1)
+    value = float(-0.5 * (z @ z) - mu * prog.lam * vs - 0.5 * mu * vs**2 + sg / mu)
+
+    bx = prog.B @ x
+    xi = float(0.5 * (bx @ bx) - prog.lam)
+    hx = prog.H @ x
+    h_at_x = float(0.5 * (x @ hx) - prog.b_vec @ x)
+
+    grad_vs = mu * (xi - vs)
+    grad_sg = 1.0 / mu - h_at_x
+
+    zu, zv = solve(np.array([prog.B.T @ bx, hx - prog.b_vec]).T, 0).T
+    h_vv = -(mu**2) * (zu @ zu) - mu
+    h_vs = mu * (zu @ zv)
+    h_ss = -(zv @ zv)
+    hessian = np.array([[h_vv, h_vs], [h_vs, h_ss]])
+
+    return dual.DualEvaluation(
+        float(value), float(grad_vs), float(grad_sg), x, xi, h_at_x, hessian,
+        fac.min_pivot, fac.ill_conditioned,
+    )
+
+
+def _kernel_points(prog, mu):
+    """The start point, the ascent's end and a definite point near the cone
+    edge: bisected towards the box corner (-lam, 0), or the corner itself
+    when G is definite there."""
+    start = fd.find_start(prog, mu)
+    points = [start, fd.maximize_dual(prog, mu).point]
+    inside, outside = start.as_array(), np.array([-prog.lam, 0.0])
+    if not fd.curvature_matrix(prog, P(mu, *outside)).pd:
+        for _ in range(50):
+            mid = 0.5 * (inside + outside)
+            if fd.curvature_matrix(prog, P(mu, *mid)).pd:
+                inside = mid
+            else:
+                outside = mid
+    else:
+        inside = outside
+    return points + [P(mu, *map(float, inside))]
+
+
+class TestKernelBits:
+    """evaluate_dual against its numpy-scalar formulation, bit for bit."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 6, 64, 128])
+    def test_evaluation_matches_reference_bitwise(self, n, m):
+        prog = fd.generate_program(n, m, seed=1000 + 7 * n + m)
+        mu = 0.5 * (prog.mu0 + prog.mu_max)
+        for point in _kernel_points(prog, mu):
+            fac = fd.curvature_matrix(prog, point)
+            assert fac.pd
+            ev = fd.evaluate_dual(prog, point, fac)
+            ref = _reference_evaluate(prog, point, fac)
+            for field in dataclasses.fields(ref):
+                got, want = getattr(ev, field.name), getattr(ref, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), field.name
+                elif isinstance(want, bool):
+                    assert got is want, field.name
+                else:
+                    assert type(got) is float, field.name
+                    assert float.hex(got) == float.hex(want), field.name
+
+    def test_evaluation_has_slots_and_stays_frozen(self):
+        prog = fd.generate_program(3, 1, seed=5)
+        ev = fd.evaluate_dual(prog, fd.find_start(prog, prog.mu0))
+        assert not hasattr(ev, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.value = 0.0
 
 
 _LAZY_SCIPY = """
@@ -309,6 +424,27 @@ def test_non_pd_point_raises(reference):
 def test_outside_box_raises(reference):
     with pytest.raises(ValueError):
         fd.evaluate_dual(reference, P(1.0, -2.0, 0.0))
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+def test_mu_off_the_domain_raises(mu):
+    # the dual bounds the subproblem only for 0 < mu < inf; off it the
+    # kernel would divide by zero or return a value that bounds nothing
+    prog = fd.generate_program(3, 1, seed=5)
+    with mock.patch.object(dual, "curvature_matrix", wraps=dual.curvature_matrix) as factor:
+        with pytest.raises(fd.DualDomainError) as raised:
+            fd.evaluate_dual(prog, P(mu, 0.0, 10.0))
+    assert isinstance(raised.value, fd.FracdualError)
+    assert factor.call_count == 0
+
+
+def test_off_box_point_raises_domain_error():
+    prog = fd.generate_program(3, 1, seed=5)
+    for point in (P(1.0, -prog.lam - 1.0, 10.0), P(1.0, 0.0, -1.0)):
+        with pytest.raises(fd.DualDomainError):
+            fd.evaluate_dual(prog, point)
+    with pytest.raises(fd.DualDomainError):
+        fd.legendre_conjugate(prog, -prog.lam - 1.0)
 
 
 def test_total_complementary_frozen(reference):
