@@ -20,15 +20,22 @@ not covered by it, one line per workload counts the Cholesky
 factorizations its solves made, split into definite ones and failed
 ones, then one line per workload counts the pencil verdicts its solves
 asked for ("-" for a checkout without fracdual.solver.pencil_indefinite),
-and one line per workload the dual evaluations its solves made (calls of
-fracdual.solver.evaluate_dual); the script counts them by wrapping,
-during each solve, pencil_indefinite, evaluate_dual and the
-factorization: LAPACK's potrf as fracdual.dual calls it (info 0 is
-definite, info > 0 failed), or numpy.linalg.cholesky for a checkout that
-factorizes with it (returned is definite, raised failed).
+and one line per workload the dual evaluations its solves made (the
+calls of the kernel fracdual.solver._evaluate_at that return one, or for
+a checkout without it, the calls of fracdual.solver.evaluate_dual); the
+script counts them by wrapping, during each solve, pencil_indefinite, the
+kernel or evaluate_dual, and the factorization: LAPACK's potrf as
+fracdual.dual calls it (info 0 is definite, info > 0 failed), or
+numpy.linalg.cholesky for a checkout that factorizes with it (returned
+is definite, raised failed).  With `--short`, one more line per workload
+counts its short slices: those whose ascent ends more than
+tol_gap*(1+|value|) below the maximum of their own dual that the slice
+referee (tests/referee.py) finds; a slice it finds none for is not
+counted.  The referee makes the run about ten times longer.
 
     python3 scripts/answer_digest.py --base 1000 > digest_1000.txt
     python3 scripts/answer_digest.py --root ../other-checkout --base 1000
+    python3 scripts/answer_digest.py --base 1000 --short
 
 `--root` picks the checkout whose `src/` is solved (default: this one);
 the workloads always come from this checkout's perfbench/, read-only.
@@ -50,8 +57,8 @@ iteration-capped slices (n_iter equal to `SolverOptions().max_iter`) and
 stalled slices (status MaxIterations with n_iter below it, perfbench's
 `solver.stalled_slices`), the polish wins: the instances whose answer is a
 `Polished` slice (one whose P0 is the instance's), the Cholesky
-factorizations, definite and failed, the pencil verdicts and the dual
-evaluations ("-" for a digest without them).
+factorizations, definite and failed, the pencil verdicts, the dual
+evaluations and the short slices ("-" for a digest without them).
 It exits 1 when it listed any instance.
 """
 
@@ -82,7 +89,7 @@ def _kind(cert) -> str:
 
 
 # Lines of a digest that are neither instance nor slice lines.
-_TRAILER = ("sha256", "cholesky", "pencil", "evaluate")
+_TRAILER = ("sha256", "cholesky", "pencil", "evaluate", "short")
 
 
 class _Tally:
@@ -152,8 +159,9 @@ class CholeskyTally(_Tally):
 
 class CallTally(_Tally):
     """The solver module's function `attr`, wrapped to count per workload
-    its calls inside `counting` only, printed as `line` (a format of the
-    workload and the count); every count is "-" for a solver without it."""
+    its calls inside `counting` only whose result `_counts`, printed as
+    `line` (a format of the workload and the count); every count is "-"
+    for a solver without it."""
 
     def __init__(self, solver, attr: str, line: str) -> None:
         super().__init__()
@@ -164,11 +172,16 @@ class CallTally(_Tally):
             return
 
         def counted(*args, **kwargs):
-            if self._workload is not None:
+            result = function(*args, **kwargs)
+            if self._workload is not None and self._counts(result):
                 self.counts[self._workload] += 1
-            return function(*args, **kwargs)
+            return result
 
         setattr(solver, attr, counted)
+
+    @staticmethod
+    def _counts(result) -> bool:
+        return True
 
     def lines(self):
         for name, calls in self.counts.items():
@@ -183,18 +196,51 @@ class VerdictTally(CallTally):
 
 
 class EvaluationTally(CallTally):
-    """The dual evaluations, solver.evaluate_dual's calls."""
+    """The dual evaluations: the calls of the kernel solver._evaluate_at that
+    return one (it returns None where G is not definite), or for a solver
+    without the kernel, solver.evaluate_dual's calls."""
 
     def __init__(self, solver) -> None:
-        super().__init__(solver, "evaluate_dual", "evaluate {} {}")
+        attr = "_evaluate_at" if hasattr(solver, "_evaluate_at") else "evaluate_dual"
+        super().__init__(solver, attr, "evaluate {} {}")
+
+    @staticmethod
+    def _counts(result) -> bool:
+        return result is not None
 
 
-def instance_lines(fd, name: str, seed: int, text: str, *tallies: _Tally):
+class ShortTally:
+    """Per workload, the short slices of its solves, by `referee` (the slice
+    referee, slice_referee(prog, mu) -> (value, varsigma, sigma) or None)
+    and `is_short` (value, the referee's value, tol_gap -> bool)."""
+
+    def __init__(self, referee, is_short, tol_gap: float) -> None:
+        self.counts: dict = {}
+        self._referee, self._is_short, self._tol_gap = referee, is_short, tol_gap
+
+    def add(self, workload: str, prog, res) -> None:
+        short = 0
+        for s in res.mu_profile:
+            found = None if s.solution is None else self._referee(prog, s.mu)
+            short += found is not None and self._is_short(s.solution.value, found[0],
+                                                          self._tol_gap)
+        self.counts[workload] = self.counts.get(workload, 0) + short
+
+    def lines(self):
+        for name, short in self.counts.items():
+            yield f"short {name} {short}"
+
+
+def instance_lines(fd, name: str, seed: int, text: str, *tallies: _Tally, shorts=None):
+    """The digest lines of one instance; `shorts`, a ShortTally, adds its
+    short slices, refereed outside the counting of `tallies`."""
     prog = fd.parse_instance(text)
     with ExitStack() as stack:
         for tally in tallies:
             stack.enter_context(tally.counting(name))
         res = fd.solve(prog)
+    if shorts is not None:
+        shorts.add(name, prog, res)
     yield (f"{name} {seed} P0 {float(res.P0_value).hex()} "
            f"cert {_kind(res.certificate)} x {_hex(res.x_star)} "
            f"lb {float(res.global_lower_bound).hex()}")
@@ -262,8 +308,8 @@ def _choleskys(lines) -> dict:
 
 
 def _calls(lines, head: str) -> dict:
-    """workload -> the count on a digest's `head` lines (pencil verdicts or
-    dual evaluations), as printed ("-" when unknown)."""
+    """workload -> the count on a digest's `head` lines (pencil verdicts,
+    dual evaluations or short slices), as printed ("-" when unknown)."""
     return {tok[1]: tok[-1] for tok in map(str.split, lines) if tok[:1] == [head]}
 
 
@@ -311,7 +357,8 @@ def against(old_lines, new_lines, opts) -> int:
         was_definite, was_failed = old_chol.get(name, ("-", "-"))
         print(f"{name}: Cholesky definite DIGEST {was_definite}, this run {definite}; "
               f"failed DIGEST {was_failed}, this run {failed}")
-    for head, what in (("pencil", "pencil verdicts"), ("evaluate", "dual evaluations")):
+    for head, what in (("pencil", "pencil verdicts"), ("evaluate", "dual evaluations"),
+                       ("short", "short slices")):
         was = _calls(old_lines, head)
         for name, calls in _calls(new_lines, head).items():
             print(f"{name}: {what} DIGEST {was.get(name, '-')}, this run {calls}")
@@ -327,6 +374,8 @@ def main(argv=None) -> int:
                     help="solve only this workload (repeatable; default: all three)")
     ap.add_argument("--against", type=Path, default=None, metavar="DIGEST",
                     help="compare with an earlier digest instead of printing one")
+    ap.add_argument("--short", action="store_true",
+                    help="count each workload's short slices with the slice referee")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.root.resolve() / "src"))
@@ -339,10 +388,17 @@ def main(argv=None) -> int:
 
     tallies = (CholeskyTally(np, fracdual.dual), VerdictTally(fracdual.solver),
                EvaluationTally(fracdual.solver))
+    shorts = None
+    if args.short:
+        sys.path.insert(0, str(ROOT / "tests"))
+        from referee import is_short, slice_referee
+
+        shorts = ShortTally(slice_referee, is_short, fd.SolverOptions().tol_gap)
     lines = [line for name in args.workload or list(WORKLOADS)
              for seed, text in WORKLOADS[name].texts(args.base)
-             for line in instance_lines(fd, name, seed, text, *tallies)]
-    trailer = [line for tally in tallies for line in tally.lines()]
+             for line in instance_lines(fd, name, seed, text, *tallies, shorts=shorts)]
+    trailer = [line for tally in (*tallies, shorts) if tally is not None
+               for line in tally.lines()]
     if args.against is not None:
         return against(args.against.read_text().splitlines(), lines + trailer,
                        fd.SolverOptions())

@@ -26,6 +26,16 @@ preallocated 2 x n block, whose transpose is the Fortran-ordered n x 2
 right-hand side trtrs reads.  At n <= 8 each numpy call costs more than
 its arithmetic, so the kernel makes no more of them than it needs.
 
+There is one factorization path and one evaluation body.  _factorize
+assembles G and calls potrf, reading the diagonal scale and the smallest
+pivot as Python floats; _evaluation evaluates from the factor.  The
+ascent's kernel, _evaluate_at, runs the two back to back on a point given
+as three floats, with no CurvatureFactor or DualPoint in between, and
+returns None where Cholesky or the pivot floor rejects G; its caller
+keeps the point on the domain.  The public curvature_matrix and
+evaluate_dual are thin wrappers over the same two pieces, evaluate_dual
+after the domain check.
+
 B'B has rank m <= 3, so the instance does not store it: an ascent forms
 it from B once and assembles G from it at every point it factorizes (a
 lone curvature_matrix call forms its own), and the evaluation applies it
@@ -40,6 +50,7 @@ that never factorize (generating, parsing, serializing) need not pay it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +84,20 @@ class DualPoint:
         return np.array([self.varsigma, self.sigma])
 
 
+def _ill_conditioned(min_pivot: float, diag_scale: float) -> bool:
+    return min_pivot <= ILL_CONDITIONED_RTOL * (1.0 + diag_scale)
+
+
+def _solve(chol: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """L^{-1} rhs (trans 0) or L^{-T} rhs (trans 1) with the lower factor L."""
+    z, info = _trtrs(chol, rhs, 1, trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular factor: zero pivot {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK trtrs")
+    return z
+
+
 @dataclass(frozen=True)
 class CurvatureFactor:
     """Assembled curvature matrix with its Cholesky factor when definite.
@@ -94,23 +119,15 @@ class CurvatureFactor:
 
     @property
     def ill_conditioned(self) -> bool:
-        return self.min_pivot <= ILL_CONDITIONED_RTOL * (1.0 + self.diag_scale)
+        return _ill_conditioned(self.min_pivot, self.diag_scale)
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-1} rhs, so that |half_solve(c)|^2 = c'G^{-1}c."""
-        return self._tri_solve(rhs, trans=0)
+        return _solve(self.chol, rhs, 0)
 
     def back_solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-T} rhs, so that back_solve(half_solve(c)) = G^{-1}c."""
-        return self._tri_solve(rhs, trans=1)
-
-    def _tri_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        z, info = _trtrs(self.chol, rhs, 1, trans)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular factor: zero pivot {info - 1}")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK trtrs")
-        return z
+        return _solve(self.chol, rhs, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,73 +143,41 @@ class DualEvaluation:
     ill_conditioned: bool
 
 
-def curvature_matrix(
-    prog: FractionalProgram, point: DualPoint, btb: np.ndarray | None = None
-) -> CurvatureFactor:
-    """Assemble G at the dual point and attempt a Cholesky factorization.
-
-    `btb` is gram(prog), passed by a caller that factorizes many points of
-    one instance; without it, B'B is formed here.
-    """
-    if btb is None:
-        btb = gram(prog)
+def _factorize(
+    prog: FractionalProgram, mu: float, varsigma: float, sigma: float, btb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, float, float]:
+    """G assembled from `btb` = gram(prog), its lower Cholesky factor, the
+    smallest squared pivot and max|diag G|; the factor is None where potrf
+    (min_pivot -inf) or the pivot floor (the real pivot) rejects G."""
     # Q + (mu*varsigma) B'B - sigma H, with one temporary fewer
-    G = (point.mu * point.varsigma) * btb
+    G = (mu * varsigma) * btb
     G += prog.Q
-    G -= point.sigma * prog.H
-    diag_scale = float(np.abs(G.diagonal()).max())
+    G -= sigma * prog.H
+    diag_scale = max(map(abs, G.diagonal().tolist()))
     if _potrf is None:
         _bind_lapack()
     # G is exactly symmetric, so G.T is G in the Fortran order potrf reads
     chol, info = _potrf(G.T, lower=1)
     if info > 0:
-        return CurvatureFactor(G, None, False, -np.inf, diag_scale)
+        return G, None, -math.inf, diag_scale
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
     # the pivots sqrt(.) are >= 0, so the smallest square is the square of the smallest
-    root = float(chol.diagonal().min())
+    root = min(chol.diagonal().tolist())
     min_pivot = root * root
     if min_pivot <= pivot_floor(diag_scale):
-        return CurvatureFactor(G, None, False, min_pivot, diag_scale)
-    return CurvatureFactor(G, chol, True, min_pivot, diag_scale)
+        return G, None, min_pivot, diag_scale
+    return G, chol, min_pivot, diag_scale
 
 
-def _in_box(prog: FractionalProgram, point: DualPoint) -> bool:
-    tol = BOX_TOL * (1.0 + abs(prog.lam))
-    return point.varsigma >= -prog.lam - tol and point.sigma >= -tol
-
-
-def in_dual_cone(prog: FractionalProgram, point: DualPoint) -> bool:
-    """True when the point satisfies the box bounds and G is positive definite."""
-    return _in_box(prog, point) and curvature_matrix(prog, point).pd
-
-
-def evaluate_dual(
-    prog: FractionalProgram,
-    point: DualPoint,
-    fac: CurvatureFactor | None = None,
+def _evaluation(
+    prog: FractionalProgram, mu: float, vs: float, sg: float, chol: np.ndarray,
+    min_pivot: float, ill_conditioned: bool,
 ) -> DualEvaluation:
-    """Value, gradient, Hessian and primal candidate from one factorization.
-
-    The dual is defined for 0 < mu < inf on the box varsigma >= -lam,
-    sigma >= 0; a point off that domain raises DualDomainError.
-    """
-    mu, vs, sg = point.mu, point.varsigma, point.sigma
-    if not 0.0 < mu < np.inf or not _in_box(prog, point):
-        raise DualDomainError(
-            f"dual point (mu={mu}, varsigma={vs}, sigma={sg}) is off the domain "
-            f"0 < mu < inf, varsigma >= -lam, sigma >= 0"
-        )
-    if fac is None:
-        fac = curvature_matrix(prog, point)
-    if not fac.pd:
-        raise NotPDError(
-            f"curvature matrix not positive definite at {point}",
-            min_pivot=fac.min_pivot,
-        )
+    """Value, gradient, Hessian and primal candidate from the factor `chol`."""
     B, H, b = prog.B, prog.H, prog.b_vec
-    z = fac.half_solve(prog.f_vec - sg * b)
-    x = fac.back_solve(z)
+    z = _solve(chol, prog.f_vec - sg * b, 0)
+    x = _solve(chol, z, 1)
     value = -0.5 * float(z.dot(z)) - mu * prog.lam * vs - 0.5 * mu * vs**2 + sg / mu
 
     bx = B.dot(x)
@@ -207,14 +192,96 @@ def evaluate_dual(
     rhs = np.empty((2, prog.n))
     np.dot(bx, B, out=rhs[0])
     np.subtract(hx, b, out=rhs[1])
-    zu, zv = fac.half_solve(rhs.T).T
+    zu, zv = _solve(chol, rhs.T, 0).T
     h_vs = mu * float(np.vdot(zu, zv))
     hessian = np.array(
         [[-(mu**2) * float(zu.dot(zu)) - mu, h_vs], [h_vs, -float(zv.dot(zv))]]
     )
     return DualEvaluation(
         value, mu * (xi - vs), 1.0 / mu - h_at_x, x, xi, h_at_x, hessian,
-        fac.min_pivot, fac.ill_conditioned,
+        min_pivot, ill_conditioned,
+    )
+
+
+def _evaluate_at(
+    prog: FractionalProgram, mu: float, varsigma: float, sigma: float, btb: np.ndarray
+) -> DualEvaluation | None:
+    """The ascent's kernel: evaluate_dual at (mu, varsigma, sigma), with G
+    assembled from `btb`, or None where curvature_matrix's factor is not
+    definite.  The point is not checked: the caller keeps it on the domain."""
+    _, chol, min_pivot, diag_scale = _factorize(prog, mu, varsigma, sigma, btb)
+    if chol is None:
+        return None
+    return _evaluation(
+        prog, mu, varsigma, sigma, chol, min_pivot, _ill_conditioned(min_pivot, diag_scale)
+    )
+
+
+def curvature_matrix(
+    prog: FractionalProgram, point: DualPoint, btb: np.ndarray | None = None
+) -> CurvatureFactor:
+    """Assemble G at the dual point and attempt a Cholesky factorization.
+
+    `btb` is gram(prog), passed by a caller that factorizes many points of
+    one instance; without it, B'B is formed here.
+    """
+    if btb is None:
+        btb = gram(prog)
+    G, chol, min_pivot, diag_scale = _factorize(
+        prog, point.mu, point.varsigma, point.sigma, btb
+    )
+    return CurvatureFactor(G, chol, chol is not None, min_pivot, diag_scale)
+
+
+def _in_box(prog: FractionalProgram, point: DualPoint) -> bool:
+    tol = BOX_TOL * (1.0 + abs(prog.lam))
+    return point.varsigma >= -prog.lam - tol and point.sigma >= -tol
+
+
+def _check_mu(point: DualPoint) -> None:
+    """Raise DualDomainError unless 0 < mu < inf, where the dual is defined."""
+    if not 0.0 < point.mu < math.inf:
+        raise DualDomainError(f"dual point {point} is off the domain 0 < mu < inf")
+
+
+def _check_domain(prog: FractionalProgram, point: DualPoint) -> None:
+    """Raise DualDomainError off 0 < mu < inf and the box varsigma >= -lam,
+    sigma >= 0."""
+    _check_mu(point)
+    if not _in_box(prog, point):
+        raise DualDomainError(
+            f"dual point {point} is off the box varsigma >= -lam, sigma >= 0"
+        )
+
+
+def in_dual_cone(prog: FractionalProgram, point: DualPoint) -> bool:
+    """True when the point satisfies the box bounds and G is positive
+    definite; a mu off 0 < mu < inf raises DualDomainError."""
+    _check_mu(point)
+    return _in_box(prog, point) and curvature_matrix(prog, point).pd
+
+
+def evaluate_dual(
+    prog: FractionalProgram,
+    point: DualPoint,
+    fac: CurvatureFactor | None = None,
+) -> DualEvaluation:
+    """Value, gradient, Hessian and primal candidate from one factorization.
+
+    The dual is defined for 0 < mu < inf on the box varsigma >= -lam,
+    sigma >= 0; a point off that domain raises DualDomainError.
+    """
+    _check_domain(prog, point)
+    if fac is None:
+        fac = curvature_matrix(prog, point)
+    if not fac.pd:
+        raise NotPDError(
+            f"curvature matrix not positive definite at {point}",
+            min_pivot=fac.min_pivot,
+        )
+    return _evaluation(
+        prog, point.mu, point.varsigma, point.sigma, fac.chol, fac.min_pivot,
+        fac.ill_conditioned,
     )
 
 
@@ -241,7 +308,9 @@ def legendre_conjugate(prog: FractionalProgram, varsigma: float) -> float:
 
 
 def total_complementary(prog: FractionalProgram, x, point: DualPoint) -> float:
-    """Mixed primal-dual function whose x-minimum equals the dual value on the cone."""
+    """Mixed primal-dual function whose x-minimum equals the dual value on the
+    cone; a point off evaluate_dual's domain raises DualDomainError."""
+    _check_domain(prog, point)
     xa = np.asarray(x, dtype=float)
     mu, vs, sg = point.mu, point.varsigma, point.sigma
     G = prog.Q + (mu * vs) * gram(prog) - sg * prog.H

@@ -12,12 +12,17 @@ the cone edge and skips those the verdict proves to lie beyond it; it
 never asks about a trial at or past the one where the search stops.  Cholesky
 and the pivot floor still decide every point that can be accepted, so the
 iterates are those of factorizing every trial.
-LAPACK's `potrf` factorizes each point and each evaluation takes all it
-needs (value, gradient, Hessian and the primal candidate) from three
-`trtrs` solves with the factor, both called through the handles bound in
-dual.py; the 2x2 Newton system and, for m <= 2, the pencil's deciding
-eigenvalue are solved in closed form.  So an ascent step at small n costs
-its arithmetic, not numpy's or scipy's per-call checks.
+Each ladder rung and each trial is factorized and evaluated by one call of
+dual's kernel, _evaluate_at: LAPACK's `potrf` factorizes the point and
+three `trtrs` solves with the factor give all the evaluation needs (value,
+gradient, Hessian and the primal candidate), or the kernel returns None
+where Cholesky or the pivot floor rejects the point.  The 2x2 Newton
+system and, for m <= 2, the pencil's deciding eigenvalue are solved in
+closed form.  So an ascent step at small n costs its arithmetic, not
+numpy's or scipy's per-call checks.  A slice takes the terms of its
+primal candidate once, and once more when it is snapped to the margin:
+its certificate's subproblem value, the snap test, the feasibility test
+and P0 all come from those terms.
 The ascent's 2-vectors (iterate, gradient, step, bounds, trials) and its
 2x2 Hessian are Python floats; n-vectors and n x n work stay in numpy and
 LAPACK.  The line search forms trial k, max(d + 2^-k step, lo), by one
@@ -71,11 +76,10 @@ import numpy as np
 
 from .dual import (
     BOX_TOL,
-    CurvatureFactor,
     DualEvaluation,
     DualPoint,
+    _evaluate_at,
     canonical_measure,
-    curvature_matrix,
     evaluate_dual,
 )
 from .errors import AllSubproblemsFailedError, NoStartingPointError, WeakDualityError
@@ -85,6 +89,7 @@ from .problem import (
     eval_objective,
     eval_subproblem,
     eval_terms,
+    feasibility_slack,
     gram,
     is_feasible,
 )
@@ -259,14 +264,13 @@ def pencil_indefinite(prog: FractionalProgram, tau: float, sigma: float) -> bool
 
 def find_start(prog: FractionalProgram, mu: float) -> DualPoint:
     """Scan a coarse (varsigma, sigma) ladder for a definite starting point."""
-    return _start(prog, check_mu(prog, mu), None)[0]
+    mu = check_mu(prog, mu)
+    return DualPoint(mu, *_start(prog, mu, gram(prog))[0])
 
 
-def _start(
-    prog: FractionalProgram, mu: float, btb: np.ndarray | None
-) -> tuple[DualPoint, CurvatureFactor]:
-    """The first definite point of the start ladder, with its factor, each
-    rung assembled from `btb` (curvature_matrix's argument).
+def _start(prog: FractionalProgram, mu: float, btb: np.ndarray) -> tuple[_Pair, DualEvaluation]:
+    """The first definite point of the start ladder, with its evaluation by
+    the kernel (dual._evaluate_at), each rung assembled from `btb` = B'B.
 
     A rung is factorized only when the pencil does not prove it indefinite.
     """
@@ -275,10 +279,9 @@ def _start(
         for v_mult in (0.0, 1.0, 10.0):
             if pencil_indefinite(prog, mu * v_mult, sigma):
                 continue
-            point = DualPoint(mu, v_mult, sigma)
-            fac = curvature_matrix(prog, point, btb)
-            if fac.pd:
-                return point, fac
+            ev = _evaluate_at(prog, mu, v_mult, sigma, btb)
+            if ev is not None:
+                return (v_mult, sigma), ev
     raise NoStartingPointError(f"no definite dual point found at mu={mu:.6g}")
 
 
@@ -343,9 +346,12 @@ def _try_step(
     trial found outside the cone the trials that the pencil proves to lie
     between it and the cone edge (_cone_step, asking for them through the
     same trial(k)) are not factorized; Cholesky still decides every trial
-    that could be accepted.  Each trial is assembled from `btb`
-    (curvature_matrix's argument).
+    that could be accepted.  Each trial is factorized and evaluated by one
+    call of the kernel (dual._evaluate_at), assembled from `btb` = B'B,
+    formed here when not passed.
     """
+    if btb is None:
+        btb = gram(prog)
     (d0, d1), (s0, s1), (g0, g1), (lo0, lo1) = d, step, grad, lo
 
     def trial(k: int) -> tuple[float, float, float] | None:
@@ -358,10 +364,8 @@ def _try_step(
     k = 0
     while k < len(_FRACTIONS) and (t := trial(k)) is not None:
         t0, t1, rise = t
-        point = DualPoint(mu, t0, t1)
-        fac = curvature_matrix(prog, point, btb)
-        if fac.pd:
-            ev = evaluate_dual(prog, point, fac=fac)
+        ev = _evaluate_at(prog, mu, t0, t1, btb)
+        if ev is not None:
             if ev.value > value + min_rise and ev.value >= value + 1e-4 * rise:
                 return (t0, t1), ev
             k += 1
@@ -433,9 +437,7 @@ def _ascend(
     mu = check_mu(prog, mu)
     lo = _bounds(prog)
     btb = gram(prog)
-    start, fac = _start(prog, mu, btb)
-    d = start.varsigma, start.sigma
-    ev = evaluate_dual(prog, start, fac=fac)
+    d, ev = _start(prog, mu, btb)
     converged = False
     pg_norm = math.inf
     n_iter = 0
@@ -488,7 +490,18 @@ def certify(
     mu = check_mu(prog, mu)
     if ev is None:
         ev = evaluate_dual(prog, sol.point)
-    primal = eval_subproblem(prog, mu, ev.x_candidate)
+    return _certify(prog, mu, sol, opts, ev, eval_subproblem(prog, mu, ev.x_candidate))
+
+
+def _certify(
+    prog: FractionalProgram,
+    mu: float,
+    sol: DualSolution,
+    opts: SolverOptions,
+    ev: DualEvaluation,
+    primal: float,
+) -> Certificate:
+    """certify, from the subproblem value `primal` at ev.x_candidate."""
     gap = primal - ev.value
     stat_xi = abs(ev.xi - sol.point.varsigma)
     inv_mu = 1.0 / mu
@@ -545,18 +558,25 @@ _Slice = tuple[MuSample, "np.ndarray | None"]
 
 
 def _solve_at_mu(prog: FractionalProgram, mu: float, opts: SolverOptions) -> _Slice:
+    """Ascend, certify and take the slice's feasible candidate, with one
+    eval_terms of the ascent's primal candidate, and one more of its snap to
+    the margin: the certificate's subproblem value, the snap test, the
+    feasibility test and P0 all come from those terms."""
     try:
         sol, ev = _ascend(prog, mu, opts)
     except NoStartingPointError:
         return MuSample(mu=mu, solution=None, certificate=None, p0=None,
                         note="NoStartingPoint"), None
-    cert = certify(prog, mu, sol, opts, ev)
     x = ev.x_candidate
-    _, _, margin = eval_terms(prog, x)
+    quad, well, margin = eval_terms(prog, x)
+    # sol.point.mu is mu through check_mu, as certify reads it
+    cert = _certify(prog, sol.point.mu, sol, opts, ev, quad + sol.point.mu * well)
     if margin < 1.0 / mu:
         x = _snap_to_margin(prog, x, 1.0 / mu)
-    if is_feasible(prog, x):
-        p0 = eval_objective(prog, x)
+        quad, well, margin = eval_terms(prog, x)
+    # is_feasible and eval_objective's region, margin >= delta - slack and > 0
+    if margin >= prog.delta - feasibility_slack(prog.delta) and margin > 0.0:
+        p0 = quad + well / margin
     else:
         x, p0 = None, None
     return MuSample(mu=mu, solution=sol, certificate=cert, p0=p0), x
@@ -908,15 +928,14 @@ class ExistenceProbe:
 
 
 def _ray_values(prog, mu, base, direction, scales):
+    btb = gram(prog)
     pts, vals = [], []
     for t in scales:
         d = base + t * direction
-        point = DualPoint(mu, float(d[0]), float(d[1]))
-        fac = curvature_matrix(prog, point)
-        if not fac.pd:
-            continue
-        pts.append(float(t))
-        vals.append(evaluate_dual(prog, point, fac=fac).value)
+        ev = _evaluate_at(prog, mu, float(d[0]), float(d[1]), btb)
+        if ev is not None:
+            pts.append(float(t))
+            vals.append(ev.value)
     return pts, vals
 
 

@@ -9,7 +9,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve, solve_triangular
 
@@ -71,6 +71,7 @@ class TestFactorization:
     """curvature_matrix's direct call of LAPACK potrf."""
 
     @given(st.sampled_from([*range(1, 9), 64, 128]), st.integers(0, 10_000))
+    @example(2, 1227)  # libm's pow(root, 2) and root * root differ in the last bit here
     def test_factor_is_lower_and_reproduces_g(self, n, seed):
         prog = fd.generate_program(n, seed % 4, seed=seed)
         fac = fd.curvature_matrix(prog, fd.find_start(prog, prog.mu_max))
@@ -80,7 +81,8 @@ class TestFactorization:
         # Cholesky's backward error: |LL' - G| <= (n + 1) eps |L||L'| entrywise
         bound = (n + 1) * eps * np.abs(fac.chol) @ np.abs(fac.chol).T
         assert np.all(np.abs(fac.chol @ fac.chol.T - G) <= bound)
-        assert fac.min_pivot == float(fac.chol.diagonal().min()) ** 2
+        root = float(fac.chol.diagonal().min())
+        assert fac.min_pivot == root * root
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
     def test_indefinite_g_gives_no_factor(self, n):
@@ -282,10 +284,11 @@ def _reference_evaluate(prog, point, fac):
     )
 
 
-def _kernel_points(prog, mu):
+def _edge_points(prog, mu):
     """The start point, the ascent's end and a definite point near the cone
-    edge: bisected towards the box corner (-lam, 0), or the corner itself
-    when G is definite there."""
+    edge, bisected towards the box corner (-lam, 0), or the corner itself
+    when G is definite there; and the bisection's last point outside the
+    cone, or None."""
     start = fd.find_start(prog, mu)
     points = [start, fd.maximize_dual(prog, mu).point]
     inside, outside = start.as_array(), np.array([-prog.lam, 0.0])
@@ -297,33 +300,72 @@ def _kernel_points(prog, mu):
             else:
                 outside = mid
     else:
-        inside = outside
-    return points + [P(mu, *map(float, inside))]
+        inside, outside = outside, None
+    points.append(P(mu, *map(float, inside)))
+    return points, None if outside is None else P(mu, *map(float, outside))
+
+
+def _assert_same_bits(ev, ref):
+    """Every field of two DualEvaluations, bit for bit."""
+    for field in dataclasses.fields(ref):
+        got, want = getattr(ev, field.name), getattr(ref, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), field.name
+        elif isinstance(want, bool):
+            assert got is want, field.name
+        else:
+            assert type(got) is float, field.name
+            assert float.hex(got) == float.hex(want), field.name
+
+
+_KERNEL_CASES = pytest.mark.parametrize(
+    "n, m", [(n, m) for n in (1, 2, 6, 64, 128) for m in range(4)])
 
 
 class TestKernelBits:
-    """evaluate_dual against its numpy-scalar formulation, bit for bit."""
+    """evaluate_dual against its numpy-scalar formulation, and the ascent's
+    kernel against evaluate_dual, bit for bit."""
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 6, 64, 128])
+    @_KERNEL_CASES
     def test_evaluation_matches_reference_bitwise(self, n, m):
         prog = fd.generate_program(n, m, seed=1000 + 7 * n + m)
         mu = 0.5 * (prog.mu0 + prog.mu_max)
-        for point in _kernel_points(prog, mu):
+        for point in _edge_points(prog, mu)[0]:
             fac = fd.curvature_matrix(prog, point)
             assert fac.pd
-            ev = fd.evaluate_dual(prog, point, fac)
-            ref = _reference_evaluate(prog, point, fac)
-            for field in dataclasses.fields(ref):
-                got, want = getattr(ev, field.name), getattr(ref, field.name)
-                if isinstance(want, np.ndarray):
-                    assert got.shape == want.shape and got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes(), field.name
-                elif isinstance(want, bool):
-                    assert got is want, field.name
-                else:
-                    assert type(got) is float, field.name
-                    assert float.hex(got) == float.hex(want), field.name
+            _assert_same_bits(fd.evaluate_dual(prog, point, fac),
+                              _reference_evaluate(prog, point, fac))
+
+    @_KERNEL_CASES
+    def test_kernel_matches_the_public_pair_bitwise(self, n, m):
+        # the start, the ascent's end and both sides of the cone edge, and a
+        # coarse grid over the box: the kernel's evaluation where the factor
+        # is definite, None exactly where it is not
+        prog = fd.generate_program(n, m, seed=1000 + 7 * n + m)
+        mu = 0.5 * (prog.mu0 + prog.mu_max)
+        btb = gram(prog)
+        definite, outside = _edge_points(prog, mu)
+        grid = [P(mu, vs, s_mult * prog.sigma_scale)
+                for vs in (-prog.lam, -0.5 * prog.lam, 0.0, 1.0, 10.0)
+                for s_mult in (0.0, 0.5, 1.0, 10.0)]
+        pd = []
+        for point in [*definite, *([outside] if outside else []), *grid]:
+            fac = fd.curvature_matrix(prog, point, btb)
+            ev = dual._evaluate_at(prog, point.mu, point.varsigma, point.sigma, btb)
+            pd.append(fac.pd)
+            if not fac.pd:
+                assert ev is None
+                continue
+            _assert_same_bits(ev, fd.evaluate_dual(prog, point, fac=fac))
+        assert all(pd[:3]) and (outside is None or not pd[3])
+        assert not all(pd)
+
+    def test_kernel_refuses_a_factor_under_the_pivot_floor(self):
+        prog = _diagonal_program([4.0, 1e-20, 2.0])
+        assert dual._evaluate_at(prog, 1.0, 0.0, 0.0, gram(prog)) is None
+        fac = fd.curvature_matrix(prog, P(1.0, 0.0, 0.0))
+        assert not fac.pd and fac.min_pivot > 0.0
 
     def test_evaluation_has_slots_and_stays_frozen(self):
         prog = fd.generate_program(3, 1, seed=5)
@@ -438,11 +480,34 @@ def test_mu_off_the_domain_raises(mu):
     assert factor.call_count == 0
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+def test_cone_membership_refuses_mu_off_the_domain(mu):
+    # off 0 < mu < inf there is no cone to be in: the point is refused, not
+    # factorized and answered True
+    prog = fd.generate_program(3, 1, seed=5)
+    with mock.patch.object(dual, "curvature_matrix", wraps=dual.curvature_matrix) as factor:
+        with pytest.raises(fd.DualDomainError):
+            fd.in_dual_cone(prog, P(mu, 0.0, 10.0))
+    assert factor.call_count == 0
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+def test_total_complementary_refuses_mu_off_the_domain(mu):
+    # off 0 < mu < inf it would divide by zero or return a value that
+    # bounds nothing
+    prog = fd.generate_program(3, 1, seed=5)
+    with pytest.raises(fd.DualDomainError):
+        fd.total_complementary(prog, np.zeros(3), P(mu, 0.0, 10.0))
+
+
 def test_off_box_point_raises_domain_error():
     prog = fd.generate_program(3, 1, seed=5)
     for point in (P(1.0, -prog.lam - 1.0, 10.0), P(1.0, 0.0, -1.0)):
         with pytest.raises(fd.DualDomainError):
             fd.evaluate_dual(prog, point)
+        with pytest.raises(fd.DualDomainError):
+            fd.total_complementary(prog, np.zeros(3), point)
+        assert not fd.in_dual_cone(prog, point)
     with pytest.raises(fd.DualDomainError):
         fd.legendre_conjugate(prog, -prog.lam - 1.0)
 

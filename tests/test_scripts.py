@@ -10,6 +10,9 @@ import pytest
 
 import fracdual as fd
 from fracdual import dual, solver
+from fracdual.problem import gram
+
+from referee import is_short, slice_referee
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -162,27 +165,37 @@ def test_answer_digest_counts_the_pencil_verdicts_of_each_side(monkeypatch, caps
 
 def test_answer_digest_counts_the_dual_evaluations_of_each_side(monkeypatch, capsys):
     digest = _answer_digest(monkeypatch)
-    # a spy under the tally's wrapper; monkeypatch puts both back afterwards
-    evaluate, spied = solver.evaluate_dual, []
-
-    def spy(*args, **kwargs):
-        spied.append(args)
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "evaluate_dual", spy)
-    tally = digest.EvaluationTally(solver)
     prog = fd.generate_program(3, 2, seed=1022)
+    start = fd.find_start(prog, prog.mu0)
+    # a spy under the tally's wrapper on the kernel, which returns None where
+    # it evaluates nothing; monkeypatch puts both back afterwards
+    evaluate, spied = solver._evaluate_at, []
+
+    def spy(*args):
+        spied.append(evaluate(*args))
+        return spied[-1]
+
+    monkeypatch.setattr(solver, "_evaluate_at", spy)
+    tally = digest.EvaluationTally(solver)
     lines = list(digest.instance_lines(fd, "mixed", 1022, fd.serialize_instance(prog), tally))
-    solver.evaluate_dual(prog, fd.find_start(prog, prog.mu0))  # outside a solve: not counted
+    # outside a solve: not counted
+    solver._evaluate_at(prog, start.mu, start.varsigma, start.sigma, gram(prog))
     evaluations = tally.counts["mixed"]
-    assert 0 < evaluations == len(spied) - 1
+    assert 0 < evaluations == sum(ev is not None for ev in spied) - 1 < len(spied)
     # every ascent iteration evaluates its point: the start, and each accepted step
     res = fd.solve(prog)
     assert evaluations >= sum(s.solution.n_iter for s in res.mu_profile if s.solution)
     assert list(tally.lines()) == [f"evaluate mixed {evaluations}"]
     assert not any(line.startswith("evaluate") for line in lines)
 
-    # a solver without evaluate_dual counts nothing and prints "-"
+    # a solver without the kernel is counted at evaluate_dual, every call
+    older = types.SimpleNamespace(evaluate_dual=lambda *args: "an evaluation")
+    fallback = digest.EvaluationTally(older)
+    with fallback.counting("large-n"):
+        older.evaluate_dual(prog, start)
+    assert list(fallback.lines()) == ["evaluate large-n 1"]
+
+    # a solver without either counts nothing and prints "-"
     absent = digest.EvaluationTally(types.SimpleNamespace())
     with absent.counting("large-n"):
         pass
@@ -195,4 +208,45 @@ def test_answer_digest_counts_the_dual_evaluations_of_each_side(monkeypatch, cap
     out = capsys.readouterr().out.splitlines()
     assert "mixed: dual evaluations DIGEST 12, this run 20" in out
     assert "large-n: dual evaluations DIGEST -, this run -" in out
+    assert out[-1] == "listed: 0"
+
+
+def test_answer_digest_counts_the_short_slices_of_each_side(monkeypatch, capsys):
+    digest = _answer_digest(monkeypatch)
+    # a referee that finds nothing for the lowest slice, and otherwise each
+    # slice's own value, or that plus twice tol_gap (1 + |value|): short
+    tol_gap = fd.SolverOptions().tol_gap
+    prog = fd.generate_program(3, 2, seed=1022)
+    values = {s.mu: s.solution.value for s in fd.solve(prog).mu_profile if s.solution}
+    lowest = min(values)
+    raised = set(sorted(values)[1::3])
+
+    def referee(prog, mu):
+        if mu == lowest:
+            return None
+        lift = 2.0 * tol_gap * (1.0 + abs(values[mu])) if mu in raised else 0.0
+        return values[mu] + lift, 0.0, 0.0
+
+    shorts = digest.ShortTally(referee, is_short, tol_gap)
+    text = fd.serialize_instance(prog)
+    lines = list(digest.instance_lines(fd, "mixed", 1022, text, shorts=shorts))
+    assert shorts.counts == {"mixed": len(raised)} and len(raised) >= 10
+    assert list(shorts.lines()) == [f"short mixed {len(raised)}"]
+    assert not any(line.startswith("short") for line in lines)
+
+    # with the slice referee itself: 1022's slices that end short at the cone
+    # edge (ROADMAP item 3)
+    real = digest.ShortTally(slice_referee, is_short, tol_gap)
+    list(digest.instance_lines(fd, "mixed", 1022, text, shorts=real))
+    found = [(value, slice_referee(prog, mu)) for mu, value in values.items()]
+    assert real.counts == {"mixed": sum(f is not None and is_short(value, f[0], tol_gap)
+                                        for value, f in found)}
+
+    # --against prints both sides' counts, "-" when a side has none
+    old = _DIGEST.splitlines() + ["short mixed 12"]
+    new = _DIGEST.splitlines() + ["short mixed 3", "short large-n 0"]
+    assert digest.against(old, new, fd.SolverOptions()) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mixed: short slices DIGEST 12, this run 3" in out
+    assert "large-n: short slices DIGEST -, this run 0" in out
     assert out[-1] == "listed: 0"

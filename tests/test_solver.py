@@ -32,8 +32,8 @@ from conftest import (
     make_gap_case,
     make_reference,
     planted_program,
-    slice_referee,
 )
+from referee import is_short, slice_referee
 
 
 # The line search's step fractions 2^-k as a column: row k of
@@ -227,15 +227,31 @@ def _no_start_below(cut: float):
 
 
 def _count_factorizations(monkeypatch) -> dict:
+    """Count the Cholesky factorizations, the calls of LAPACK's potrf."""
     factorized = {"calls": 0}
-    cholesky = solver.curvature_matrix
+    dual._bind_lapack()
+    potrf = dual._potrf
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         factorized["calls"] += 1
-        return cholesky(*args)
+        return potrf(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "curvature_matrix", counted)
+    monkeypatch.setattr(dual, "_potrf", counted)
     return factorized
+
+
+def _record_factorizations(monkeypatch) -> list:
+    """Spy on dual._factorize, the one path to potrf: the (G, factor or None,
+    min_pivot, diag_scale) of each factorization, in order."""
+    made = []
+    factorize = dual._factorize
+
+    def recorded(*args):
+        made.append(factorize(*args))
+        return made[-1]
+
+    monkeypatch.setattr(dual, "_factorize", recorded)
+    return made
 
 
 @pytest.mark.parametrize(
@@ -295,17 +311,25 @@ class TestPencilShortcuts:
         fd.generate_program(3, 2, seed=1034, conditioning=1e6),
     ])
     def test_screened_ladder_matches_the_full_ladder(self, prog, monkeypatch):
-        # the same first definite rung, with the same factor, bit for bit
+        # the same first definite rung, with the same factor, bit for bit:
+        # a ladder ends at its first definite factorization, its last one
         btb = gram(prog)
         mus = (prog.mu0, 0.5 * (prog.mu0 + prog.mu_max), prog.mu_max)
-        screened = [solver._start(prog, mu, btb) for mu in mus]
+        made = _record_factorizations(monkeypatch)
+
+        def ladder(mu):
+            made.clear()
+            point, ev = solver._start(prog, mu, btb)
+            return point, ev, made[-1]
+
+        screened = [ladder(mu) for mu in mus]
         _without_pencil_shortcuts(monkeypatch)
-        for (point, fac), mu in zip(screened, mus):
-            full_point, full_fac = solver._start(prog, mu, btb)
+        for (point, ev, (G, chol, min_pivot, _)), mu in zip(screened, mus):
+            full_point, full_ev, (full_G, full_chol, full_min_pivot, _) = ladder(mu)
             assert point == full_point
-            np.testing.assert_array_equal(fac.matrix, full_fac.matrix)
-            np.testing.assert_array_equal(fac.chol, full_fac.chol)
-            assert fac.min_pivot == full_fac.min_pivot
+            np.testing.assert_array_equal(G, full_G)
+            np.testing.assert_array_equal(chol, full_chol)
+            assert min_pivot == full_min_pivot == ev.min_pivot == full_ev.min_pivot
 
     @pytest.mark.parametrize("m, seed", [(1, 1064), (2, 1065)])
     def test_solve_is_bitwise_the_same_without_the_shortcuts(self, m, seed, monkeypatch):
@@ -573,14 +597,14 @@ class TestNoiseFloor:
         prog, d, ev, grad, lo, trials, gains = self._line_search()
         min_rise = float(gains[cut])
         first = int(np.argmax(gains <= min_rise))
-        cholesky = solver.curvature_matrix
+        evaluate = solver._evaluate_at
         factorized = []
 
-        def counted(prog, point, btb=None):
-            factorized.append(point.as_array())
-            return cholesky(prog, point, btb)
+        def counted(prog, mu, varsigma, sigma, btb):
+            factorized.append((varsigma, sigma))
+            return evaluate(prog, mu, varsigma, sigma, btb)
 
-        monkeypatch.setattr(solver, "curvature_matrix", counted)
+        monkeypatch.setattr(solver, "_evaluate_at", counted)
         # an unreachable target rejects every trial the floor lets through
         unreachable = ev.value + 2.0 * float(gains[0])
         assert solver._try_step(prog, self.MU, d, grad, grad, unreachable, lo, min_rise) is None
@@ -595,14 +619,15 @@ class TestNoiseFloor:
         # test, so only the floor rejects it
         prog, d, ev, grad, lo, _, gains = self._line_search()
         min_rise = float(gains[5])
-        evaluate = solver.evaluate_dual
+        evaluate = solver._evaluate_at
 
-        def barely_rising(prog, point, fac=None):
-            return dataclasses.replace(
-                evaluate(prog, point, fac=fac), value=ev.value + 0.5 * min_rise
+        def barely_rising(*args):
+            found = evaluate(*args)
+            return None if found is None else dataclasses.replace(
+                found, value=ev.value + 0.5 * min_rise
             )
 
-        monkeypatch.setattr(solver, "evaluate_dual", barely_rising)
+        monkeypatch.setattr(solver, "_evaluate_at", barely_rising)
         assert solver._try_step(prog, self.MU, d, grad, grad, ev.value, lo, min_rise) is None
         moved = solver._try_step(prog, self.MU, d, grad, grad, ev.value, lo, 0.0)
         assert moved is not None and moved[1].value - ev.value <= min_rise
@@ -682,15 +707,15 @@ def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
     # slice takes the ascent's last evaluation and factorizes nothing
     prog = fd.generate_program(3, 2, seed=1022)
     calls = {"n": 0}
-    cholesky = dual.curvature_matrix
+    factorize = dual._factorize
 
     def counted(*args):
         calls["n"] += 1
-        return cholesky(*args)
+        return factorize(*args)
 
-    monkeypatch.setattr(solver, "curvature_matrix", counted)
-    monkeypatch.setattr(dual, "curvature_matrix", counted)
-    # and every LAPACK Cholesky factorization goes through curvature_matrix
+    # the kernel and curvature_matrix both factorize through _factorize
+    monkeypatch.setattr(dual, "_factorize", counted)
+    # and every LAPACK Cholesky factorization goes through _factorize
     choleskys = {"n": 0}
     dual._bind_lapack()
     potrf = dual._potrf
@@ -715,6 +740,83 @@ def test_certify_reuses_the_ascents_last_evaluation(monkeypatch):
     assert len(per_ascent) >= 12 and min(per_ascent) > 0
     assert calls["n"] == sum(per_ascent) == choleskys["n"]
     assert any(s.note == "Polished" for s in res.mu_profile)
+
+
+def _reference_solve_at_mu(prog, mu, opts):
+    """_solve_at_mu as it was written with four eval_terms calls a slice:
+    certify's, the snap test's, is_feasible's and eval_objective's."""
+    try:
+        sol, ev = solver._ascend(prog, mu, opts)
+    except fd.NoStartingPointError:
+        return solver.MuSample(mu=mu, solution=None, certificate=None, p0=None,
+                               note="NoStartingPoint"), None
+    cert = fd.certify(prog, mu, sol, opts, ev)
+    x = ev.x_candidate
+    _, _, margin = fd.eval_terms(prog, x)
+    if margin < 1.0 / mu:
+        x = solver._snap_to_margin(prog, x, 1.0 / mu)
+    if fd.is_feasible(prog, x):
+        p0 = fd.eval_objective(prog, x)
+    else:
+        x, p0 = None, None
+    return solver.MuSample(mu=mu, solution=sol, certificate=cert, p0=p0), x
+
+
+def _slice_bits(sample, x):
+    """A solved slice with every float as its hex, and x as its bytes."""
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else v
+
+    cert = sample.certificate
+    return (
+        sample.mu.hex(), sample.note, hexed(sample.p0), sample.solution,
+        cert and tuple(hexed(getattr(cert, f.name)) for f in dataclasses.fields(cert)),
+        None if x is None else x.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("prog", [
+    make_reference(), make_gap_case(), make_far_start(),
+    *(fd.generate_program(1 + s % 6, s % 4, seed=s) for s in (1006, 1013, 1021, 1022)),
+    fd.generate_program(3, 2, seed=1034, conditioning=1e6),
+    fd.generate_program(64, 1, seed=1064),
+])
+def test_slice_matches_four_eval_terms_bitwise(prog, monkeypatch):
+    # one eval_terms of the candidate, a second only when it is snapped to
+    # the margin, and the same sample and candidate, bit for bit; at the
+    # lower quarter of the grid no start is found
+    opts = fd.SolverOptions()
+    mus = [float(mu) for mu in solver.mu_grid(prog, 16)]
+    monkeypatch.setattr(solver, "_start", _no_start_below(mus[4]))
+    terms, solved = fd.eval_terms, 0
+    calls = {"n": 0}
+
+    def counted(*args):
+        calls["n"] += 1
+        return terms(*args)
+
+    for mu in mus:
+        want = _slice_bits(*_reference_solve_at_mu(prog, mu, opts))
+        calls["n"] = 0
+        monkeypatch.setattr(solver, "eval_terms", counted)
+        got = solver._solve_at_mu(prog, mu, opts)
+        monkeypatch.setattr(solver, "eval_terms", terms)
+        assert _slice_bits(*got) == want
+        solved += got[0].solution is not None
+        assert calls["n"] in ((1, 2) if got[0].solution is not None else (0,))
+    assert solved == 12
+
+
+@pytest.mark.parametrize("mu_hex", ["0x1.27b15cc5bda4bp+2", "0x1.2f1c8a0fd7dc4p+2"])
+def test_slice_snaps_on_the_eval_terms_margin(mu_hex):
+    # slices of the benchmark's mixed seed 2007 where eval_terms' margin and
+    # the evaluation's h(x), two roundings of one margin, fall on opposite
+    # sides of 1/mu: the snap follows eval_terms, as it did with four calls
+    prog, mu, opts = fd.generate_program(4, 3, seed=2007), float.fromhex(mu_hex), fd.SolverOptions()
+    ev = solver._ascend(prog, mu, opts)[1]
+    assert (fd.eval_terms(prog, ev.x_candidate)[2] < 1.0 / mu) != (ev.h_at_x < 1.0 / mu)
+    got = solver._solve_at_mu(prog, mu, opts)
+    assert _slice_bits(*got) == _slice_bits(*_reference_solve_at_mu(prog, mu, opts))
 
 
 def test_only_the_grid_can_be_set():
@@ -1072,7 +1174,6 @@ def _refereed_slices(seed):
 
 
 class TestShortSlices:
-    # a short slice ends more than tol_gap (1 + |value|) below its own dual's maximum
     @pytest.mark.parametrize("seed", [1021, 1022])
     def test_no_ascent_ends_above_the_referee(self, seed):
         pairs = _refereed_slices(seed)
@@ -1085,7 +1186,7 @@ class TestShortSlices:
     def test_no_slice_is_short(self, seed):
         tol = fd.SolverOptions().tol_gap
         short = [(value, found) for value, found in _refereed_slices(seed)
-                 if value < found - tol * (1.0 + abs(value))]
+                 if is_short(value, found, tol)]
         assert not short, len(short)
 
 
